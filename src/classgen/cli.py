@@ -6,7 +6,8 @@ Subcommands:
   order    print the theoretical group order
 
 Exit codes: 0 success / PASS, 1 FAIL, 2 unsupported parameters,
-3 usage error, 4 INDETERMINATE (cap truncated the closure).
+3 usage error or a documented size limit, 4 INDETERMINATE (cap truncated
+the closure), 5 internal error (a bug; never a verdict).
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"classgen: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a crash must not read as a FAIL verdict
+        print(f"classgen: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,11 +1,17 @@
 """Closure enumeration and certification against the classical order formulas.
 
 closure() runs a breadth-first search from the identity, right-multiplying
-the frontier by each generator and keying the visited set on canonical byte
-encodings.  Only encodings are stored beyond the frontier, so memory is one
-key per element.  The search stops when the frontier empties (exact count)
-or the visited set grows past the cap (truncated).  The result depends only
-on the generator set, not on ordering or duplicates.
+the frontier by each generator.  A matrix is held as its n row codes: the
+row with entry codes (c_0, ..., c_{n-1}) has code c_0 + c_1*q + ... +
+c_{n-1}*q**(n-1) in [0, q**n).  Row i of M*g is (row i of M)*g, so each
+generator g gets a table T_g of length q**n mapping v to v*g, and the
+product of a whole frontier is the single gather T_g[frontier].  The
+visited-set key of a matrix is the bytes of its n row codes.  Only keys are
+stored beyond the frontier, so memory is one key per element.  The search
+stops when the frontier empties (exact count) or the visited set grows past
+the cap (truncated).  The result depends only on the generator set, not on
+ordering or duplicates.  The tables limit closure to q**n <= 2**20
+(ROW_CODE_LIMIT), checked before any work.
 
 certify() combines the membership predicates, the exact theoretical order
 and the closure count into a PASS / FAIL / INDETERMINATE verdict, where
@@ -20,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from classgen._kernels import resolve_backend, right_multiply_batch
 from classgen.families import Family, GroupSpec, case_label, generator_pair, is_member
 from classgen.matrix import Mat
 
 DEFAULT_CAP = 2_000_000
+ROW_CODE_LIMIT = 2**20
 
 
 class Verdict(enum.Enum):
@@ -78,88 +84,110 @@ def _prepare(gens: list[Mat], cap: int):
     for g in gens:
         if g.ctx != ctx or g.n != n:
             raise ValueError("generators must share one field and one degree")
+    if ctx.q**n > ROW_CODE_LIMIT:
+        raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
+                         f"GF({ctx.q}) at degree {n} exceeds it")
+    for g in gens:
         if not g.det():
             raise ValueError("generators must be invertible")
     return ctx, n
 
 
-def _batch_keys(batch: np.ndarray, digit_rows: np.ndarray, n: int) -> list[bytes]:
-    """Canonical encodings of a (B, n, n) batch, matching Mat.encode_canonical."""
-    flat = digit_rows[batch.reshape(batch.shape[0], n * n)]
-    payload = flat.reshape(batch.shape[0], -1)
-    head = np.full((batch.shape[0], 1), n, dtype=np.uint8)
-    rows = np.hstack([head, payload])
-    return [row.tobytes() for row in rows]
+def _row_table(g: Mat) -> np.ndarray:
+    """T with T[v] = v*g for every row code v in [0, q**n).
 
-
-def _closure_impl(gens: list[Mat], cap: int, backend: str | None, collect: bool):
-    ctx, n = _prepare(gens, cap)
-    backend = resolve_backend(backend)
+    Each output digit column is built by doubling over the input
+    coordinates: the codes whose top coordinate is l are the codes below
+    q**l plus c * q**l, so one (q, q**l) table lookup extends the column.
+    """
+    ctx, n = g.ctx, g.n
     add_t, mul_t = ctx.tables()
-    digit_rows = ctx.digit_bytes_table()
-    gen_arrays = [np.ascontiguousarray(g.codes, dtype=np.uint16) for g in gens]
+    size = ctx.q**n
+    dtype = np.min_scalar_type(size - 1)
+    table = np.zeros(size, dtype=dtype)
+    for j in range(n):
+        col = np.zeros(1, dtype=np.uint16)
+        for l in range(n):
+            col = add_t[mul_t[:, g.codes[l, j]][:, None], col].ravel()
+        table += col.astype(dtype) * dtype.type(ctx.q**j)
+    return table
 
-    ident = np.zeros((1, n, n), dtype=np.uint16)
-    for i in range(n):
-        ident[0, i, i] = 1
-    visited = set(_batch_keys(ident, digit_rows, n))
-    elements = [Mat.identity(ctx, n)] if collect else None
 
-    frontier = ident
+def _row_codes(codes: np.ndarray, q: int) -> np.ndarray:
+    """Row codes of (..., n, n) entry codes: entry j of a row is base-q digit j."""
+    return codes @ (q ** np.arange(codes.shape[-1], dtype=np.int64))
+
+
+def _decode(rows: np.ndarray, q: int) -> np.ndarray:
+    """Entry codes of (..., n) row codes; the inverse of _row_codes."""
+    powers = q ** np.arange(rows.shape[-1], dtype=np.int64)
+    return rows[..., None].astype(np.int64) // powers % q
+
+
+def _keys(rows: np.ndarray) -> list[bytes]:
+    """One visited-set key per matrix: the bytes of its n row codes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _closure_impl(gens: list[Mat], cap: int, collect: bool):
+    ctx, n = _prepare(gens, cap)
+    tables = [_row_table(g) for g in gens]
+    frontier = _row_codes(Mat.identity(ctx, n).codes, ctx.q).astype(tables[0].dtype)[None]
+    visited = set(_keys(frontier))
+    found = [frontier] if collect else None
+
     rounds = 0
     truncated = False
     while frontier.shape[0] and not truncated:
         fresh_arrays = []
-        for garr in gen_arrays:
-            prod = right_multiply_batch(frontier, garr, add_t, mul_t, backend)
-            keys = _batch_keys(prod, digit_rows, n)
+        for table in tables:
+            prod = table[frontier]
             fresh_idx = []
-            for idx, key in enumerate(keys):
+            for idx, key in enumerate(_keys(prod)):
                 if key not in visited:
                     visited.add(key)
                     fresh_idx.append(idx)
             if fresh_idx:
-                picked = prod[fresh_idx]
-                fresh_arrays.append(picked)
-                if collect:
-                    for row in picked:
-                        elements.append(Mat(ctx, row.astype(np.int64)))
+                fresh_arrays.append(prod[fresh_idx])
             if len(visited) > cap:
                 truncated = True
                 break
         if fresh_arrays:
             rounds += 1
-            frontier = np.concatenate(fresh_arrays, axis=0)
+            frontier = np.concatenate(fresh_arrays)
+            if collect:
+                found.append(frontier)
         else:
-            frontier = np.empty((0, n, n), dtype=np.uint16)
-    return ClosureResult(len(visited), truncated, rounds), elements
+            frontier = frontier[:0]
+    return ClosureResult(len(visited), truncated, rounds), found
 
 
-def closure(gens: list[Mat], cap: int = DEFAULT_CAP, backend: str | None = None) -> ClosureResult:
+def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     """Breadth-first closure of the generated group; see the module docstring."""
-    result, _ = _closure_impl(gens, cap, backend, collect=False)
+    result, _ = _closure_impl(gens, cap, collect=False)
     return result
 
 
-def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP,
-                   backend: str | None = None) -> list[Mat]:
+def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:
     """All elements of the generated group in discovery order (identity first).
 
     Raises ValueError if the cap truncates the search.
     """
-    result, elements = _closure_impl(gens, cap, backend, collect=True)
+    result, found = _closure_impl(gens, cap, collect=True)
     if result.truncated:
         raise ValueError(f"cap {cap} truncated the enumeration at {result.size} elements")
-    return elements
+    ctx = gens[0].ctx
+    return [Mat(ctx, m) for m in _decode(np.concatenate(found), ctx.q)]
 
 
-def certify(spec: GroupSpec, cap: int = DEFAULT_CAP, backend: str | None = None) -> Certificate:
+def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
     """Certify the generator pair for spec against the theoretical group order."""
     pair = generator_pair(spec)
     membership_ok = (bool(pair.a.det()) and bool(pair.b.det())
                      and is_member(spec, pair.a) and is_member(spec, pair.b))
     expected = theoretical_order(spec)
-    result = closure([pair.a, pair.b], cap=cap, backend=backend)
+    result = closure([pair.a, pair.b], cap=cap)
     if not membership_ok:
         verdict = Verdict.FAIL
     elif result.truncated:

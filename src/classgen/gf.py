@@ -115,7 +115,6 @@ class FieldCtx:
     __slots__ = (
         "p", "k", "q", "modulus", "xi_code",
         "_add_table", "_mul_table", "_inv_table", "_exp", "_log",
-        "_digits", "_digit_bytes",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...], xi_code: int):
@@ -129,8 +128,6 @@ class FieldCtx:
         self._inv_table = None
         self._exp = None
         self._log = None
-        self._digits = None
-        self._digit_bytes = None
 
     # -- identity and comparison ------------------------------------------
 
@@ -281,20 +278,10 @@ class FieldCtx:
             self._build_tables()
         return self._add_table, self._mul_table
 
-    def _digit_matrix(self) -> np.ndarray:
-        if self._digits is None:
-            codes = np.arange(self.q, dtype=np.int64)
-            digits = np.empty((self.q, self.k), dtype=np.int64)
-            for i in range(self.k):
-                digits[:, i] = codes % self.p
-                codes //= self.p
-            self._digits = digits
-        return self._digits
-
     def _build_tables(self) -> None:
         q, p, k = self.q, self.p, self.k
-        digits = self._digit_matrix()
         powers = p ** np.arange(k, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
         add = np.empty((q, q), dtype=np.uint16)
         step = max(1, (1 << 22) // (q * k))
         for lo in range(0, q, step):
@@ -326,21 +313,6 @@ class FieldCtx:
             raise ZeroDivisionError("zero has no discrete logarithm")
         self.tables()
         return int(self._log[code])
-
-    def digit_bytes_table(self) -> np.ndarray:
-        """(q, k*w) uint8 array; row c holds the canonical digit bytes of code c."""
-        if self._digit_bytes is None:
-            w = digit_width(self.p)
-            digits = self._digit_matrix()
-            if w == 1:
-                db = digits.astype(np.uint8)
-            elif w == 2:
-                db = np.ascontiguousarray(digits.astype("<u2")).view(np.uint8)
-                db = db.reshape(self.q, 2 * self.k)
-            else:
-                raise ValueError(f"digit width {w} unsupported for batched encoding")
-            self._digit_bytes = np.ascontiguousarray(db)
-        return self._digit_bytes
 
 
 def digit_width(p: int) -> int:

@@ -1,10 +1,11 @@
 """Dense square matrices over a finite field: exact arithmetic, canonical bytes.
 
 Entries are stored as an (n, n) array of integer element codes.  Matrices
-are immutable.  The canonical encoding is the set key used during closure
-enumeration: one byte for the degree n, then the entries in row-major
-order, each entry as its k base-p digits (constant term first), every digit
-written as digit_width(p) little-endian bytes.
+are immutable.  The canonical encoding is a field-independent byte form of
+one matrix: one byte for the degree n (so n <= 255), then the entries in
+row-major order, each entry as its k base-p digits (constant term first),
+every digit written as digit_width(p) little-endian bytes.  The closure
+enumeration does not use it; it keys matrices on their row codes.
 """
 
 from __future__ import annotations

@@ -252,8 +252,6 @@ def test_criterion_3_closure_grid(capsys):
     _verdict(capsys, 3, "closure certification grid", failures)
 
 
-@pytest.mark.skipif(os.environ.get("CLASSGEN_STRETCH") != "1",
-                    reason="stretch cases run only with CLASSGEN_STRETCH=1")
 def test_criterion_3_stretch_closures(capsys):
     failures = []
     for family, degree, q, order in STRETCH_GRID:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from classgen import cli
 from classgen.cli import main
 
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
@@ -160,13 +161,6 @@ def test_certify_invalid_cap(capsys, monkeypatch):
     assert "CLASSGEN_CAP must be an integer" in err
 
 
-def test_certify_respects_backend_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CLASSGEN_BACKEND", "numpy")
-    code, out, _ = run_main(capsys, ["certify", "--family", "sl", "--degree", "2", "--q", "3"])
-    assert code == 0
-    assert "verdict:    PASS" in out
-
-
 def test_order(capsys):
     code, out, _ = run_main(capsys, ["order", "--family", "gl", "--degree", "3", "--q", "2"])
     assert code == 0
@@ -210,6 +204,27 @@ def test_exit_3_for_usage_errors():
     with pytest.raises(SystemExit) as exc_info:
         main([])
     assert exc_info.value.code == 3
+
+
+def test_exit_3_for_closure_size_limit():
+    proc = subprocess.run(
+        [sys.executable, "-m", "classgen", "certify", "--family", "sl",
+         "--degree", "300", "--q", "2", "--cap", "10"],
+        capture_output=True, text=True, env=REPO_ENV)
+    assert proc.returncode == 3
+    assert "q**n <= 2**20" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_exit_5_for_internal_errors(capsys, monkeypatch):
+    def crash(spec, cap):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "certify", crash)
+    code, out, err = run_main(capsys, ["certify", "--family", "sl", "--degree", "2", "--q", "3"])
+    assert code == 5
+    assert err == "classgen: internal error: RuntimeError: boom\n"
+    assert out == ""
 
 
 def test_long_family_names_accepted(capsys):

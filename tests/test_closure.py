@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -19,7 +20,7 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen._kernels import available_backends, resolve_backend, right_multiply_batch
+from classgen.closure import _decode, _row_codes, _row_table
 
 GF3 = field_create(3, 1)
 SL23 = GroupSpec(Family.SL, 2, 3)
@@ -195,49 +196,69 @@ def test_verdict_values():
 
 
 # ---------------------------------------------------------------------------
-# Kernel backends
+# Row-action kernel
 # ---------------------------------------------------------------------------
 
-def test_available_backends_always_include_numpy():
-    assert "numpy" in available_backends()
-
-
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv("CLASSGEN_BACKEND", raising=False)
-    assert resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv("CLASSGEN_BACKEND", "numpy")
-    assert resolve_backend() == "numpy"
-    if "numba" in available_backends():
-        # an explicit argument beats the environment
-        assert resolve_backend("numba") == "numba"
-    monkeypatch.setenv("CLASSGEN_BACKEND", "fortran")
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend()
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("fortran")
-
-
-def test_right_multiply_batch_matches_mat_mul():
+def test_row_table_products_match_mat_mul():
     ctx = field_create(3, 2)
-    add_t, mul_t = ctx.tables()
     rng = random.Random(37)
     mats = [Mat.from_rows(ctx, [[rng.randrange(9) for _ in range(3)]
                                 for _ in range(3)]) for _ in range(20)]
     gen = Mat.from_rows(ctx, [[rng.randrange(9) for _ in range(3)] for _ in range(3)])
-    batch = np.stack([m.codes for m in mats]).astype(np.uint16)
-    garr = gen.codes.astype(np.uint16)
-    for backend in available_backends():
-        out = right_multiply_batch(batch, garr, add_t, mul_t, backend)
-        for row, m in zip(out, mats):
-            assert Mat(ctx, row.astype(np.int64)) == m * gen
+    rows = _row_codes(np.stack([m.codes for m in mats]), ctx.q)
+    products = _decode(_row_table(gen)[rows], ctx.q)
+    for prod, m in zip(products, mats):
+        assert Mat(ctx, prod) == m * gen
 
 
-@pytest.mark.parametrize("family,degree,q", [
-    (Family.SL, 2, 3), (Family.GU, 3, 2), (Family.SP, 4, 2)])
-def test_backends_agree_on_closures(family, degree, q):
-    if "numba" not in available_backends():
-        pytest.skip("numba not importable")
-    spec = GroupSpec(family, degree, q)
-    pair = generator_pair(spec)
-    gens = [pair.a, pair.b]
-    assert closure(gens, backend="numba") == closure(gens, backend="numpy")
+@pytest.mark.parametrize("family,degree,q,expected", [
+    (Family.GL, 8, 4, (14, True, 3)),    # an 8 x 16-bit key, wider than 64 bits
+    (Family.GL, 20, 2, (11, True, 3)),   # q**n = 2**20, the largest allowed
+])
+def test_truncated_closures_are_pinned(family, degree, q, expected):
+    pair = generator_pair(GroupSpec(family, degree, q))
+    result = closure([pair.a, pair.b], cap=10)
+    assert (result.size, result.truncated, result.frontier_rounds) == expected
+
+
+def test_closure_rejects_q_power_n_above_the_limit_before_building_tables(monkeypatch):
+    def no_tables(g):
+        raise AssertionError("a row table was built")
+
+    monkeypatch.setattr(importlib.import_module("classgen.closure"), "_row_table", no_tables)
+    pair = generator_pair(GroupSpec(Family.GL, 21, 2))
+    with pytest.raises(ValueError, match=r"q\*\*n <= 2\*\*20"):
+        closure([pair.a, pair.b], cap=10)
+
+
+SL23_ELEMENT_BLOBS = [
+    "0201000001",
+    "0201010001",
+    "0200010200",
+    "0201020001",
+    "0200010202",
+    "0202010200",
+    "0202000002",
+    "0200010201",
+    "0202000202",
+    "0202020002",
+    "0201010200",
+    "0202000102",
+    "0200020100",
+    "0202020201",
+    "0202010002",
+    "0201020202",
+    "0202020100",
+    "0200020101",
+    "0200020102",
+    "0201020100",
+    "0201000201",
+    "0202010101",
+    "0201000101",
+    "0201010102",
+]
+
+
+def test_group_elements_sl23_discovery_order():
+    blobs = [m.encode_canonical().hex() for m in group_elements(sl23_gens())]
+    assert blobs == SL23_ELEMENT_BLOBS
