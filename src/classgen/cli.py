@@ -189,6 +189,18 @@ def _resolve_cap(args) -> int:
     return cap
 
 
+def _exact(n: int) -> str:
+    """Decimal digits of n >= 0.  str(n) refuses ints past
+    sys.get_int_max_str_digits() (4300 digits by default), so convert 1000
+    digits at a time instead of raising that process-wide limit."""
+    chunk = 10**1000
+    parts = []
+    while n >= chunk:
+        n, r = divmod(n, chunk)
+        parts.append(f"{r:01000d}")
+    return str(n) + "".join(reversed(parts))
+
+
 def cmd_certify(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
     cap = _resolve_cap(args)
@@ -198,7 +210,7 @@ def cmd_certify(args) -> int:
     print(f"degree:     {spec.degree}")
     print(f"q:          {spec.q}")
     print(f"membership: {'ok' if cert.membership_ok else 'FAILED'}")
-    print(f"expected:   {cert.expected_order}")
+    print(f"expected:   {_exact(cert.expected_order)}")
     print(f"size:       {res.size}")
     print(f"rounds:     {res.frontier_rounds}")
     print(f"truncated:  {'yes (cap ' + str(cap) + ')' if res.truncated else 'no'}")
@@ -212,7 +224,7 @@ def cmd_certify(args) -> int:
 
 def cmd_order(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
-    print(theoretical_order(spec))
+    print(_exact(theoretical_order(spec)))
     return 0
 
 

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from classgen.families import Family, GroupSpec, case_label, generator_pair, is_member
+from classgen.families import (
+    Family,
+    GroupSpec,
+    case_label,
+    field_for,
+    generator_pair,
+    is_member,
+)
 from classgen.matrix import Mat
 
 DEFAULT_CAP = 2_000_000
@@ -74,6 +81,13 @@ def theoretical_order(spec: GroupSpec) -> int:
     raise AssertionError(f"unhandled family {fam}")
 
 
+def _check_row_code_limit(q: int, n: int) -> None:
+    # q >= 2, so any n > 20 exceeds the limit; the min keeps q**n small.
+    if q**min(n, 21) > ROW_CODE_LIMIT:
+        raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
+                         f"GF({q}) at degree {n} exceeds it")
+
+
 def _prepare(gens: list[Mat], cap: int):
     if not gens:
         raise ValueError("need at least one generator")
@@ -84,9 +98,7 @@ def _prepare(gens: list[Mat], cap: int):
     for g in gens:
         if g.ctx != ctx or g.n != n:
             raise ValueError("generators must share one field and one degree")
-    if ctx.q**n > ROW_CODE_LIMIT:
-        raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
-                         f"GF({ctx.q}) at degree {n} exceeds it")
+    _check_row_code_limit(ctx.q, n)
     for g in gens:
         if not g.det():
             raise ValueError("generators must be invertible")
@@ -182,7 +194,13 @@ def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:
 
 
 def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
-    """Certify the generator pair for spec against the theoretical group order."""
+    """Certify the generator pair for spec against the theoretical group order.
+
+    Uncovered parameters (UnsupportedParametersError) and the closure size
+    limit (ValueError) are refused before any generator is built.
+    """
+    case_label(spec)
+    _check_row_code_limit(field_for(spec).q, spec.degree)
     pair = generator_pair(spec)
     membership_ok = (bool(pair.a.det()) and bool(pair.b.det())
                      and is_member(spec, pair.a) and is_member(spec, pair.b))

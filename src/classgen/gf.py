@@ -90,11 +90,11 @@ def _poly_rem(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Trial division of the monic polynomial f by all monic g of degree <= deg(f)/2."""
+    """Trial division of monic f (f(0) != 0) by each monic g, g(0) != 0, deg g <= deg(f)/2."""
     k = len(f) - 1
     fl = list(f)
     for d in range(1, k // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
+        for low in itertools.product(range(1, p), *[range(p)] * (d - 1)):
             g = list(low) + [1]
             if not any(_poly_rem(fl, g, p)):
                 return False
@@ -102,7 +102,10 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 
 
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    for low in itertools.product(range(p), repeat=k):
+    if k == 1:
+        return (0, 1)
+    # Candidates with a zero constant term are divisible by t; the rest keep their order.
+    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         cand = (*low, 1)
         if _is_irreducible(cand, p):
             return cand
@@ -407,14 +410,24 @@ class FieldElem:
 
 def _least_primitive(ctx: FieldCtx) -> int:
     """Code of the lexicographically least element of order exactly q - 1."""
-    q = ctx.q
+    p, k, q = ctx.p, ctx.k, ctx.q
+    mod_low = ctx.modulus[:k]
+    one = [1] + [0] * (k - 1)
     checks = [(q - 1) // r for r in _prime_factors(q - 1)]
-    for coeffs in itertools.product(range(ctx.p), repeat=ctx.k):
-        code = ctx.coeffs_to_code(coeffs)
-        if code == 0:
-            continue
-        if all(ctx.pow_code(code, e) != 1 for e in checks):
-            return code
+
+    def power(a: list[int], e: int) -> list[int]:
+        out = one
+        for bit in bin(e)[2:]:  # square-and-multiply, high bit first
+            out = _poly_mulmod(out, out, mod_low, p, k)
+            if bit == "1":
+                out = _poly_mulmod(out, a, mod_low, p, k)
+        return out
+
+    # With c0 as its leading base-p digit, m walks the tuples in lexicographic order.
+    for m in range(1, q):
+        coeffs = ctx.code_to_coeffs(m)[::-1]
+        if all(power(list(coeffs), e) != one for e in checks):
+            return ctx.coeffs_to_code(coeffs)
     raise AssertionError(f"no primitive element found in GF({q})")
 
 

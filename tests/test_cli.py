@@ -1,3 +1,5 @@
+import decimal
+import importlib
 import json
 import os
 import subprocess
@@ -5,7 +7,7 @@ import sys
 
 import pytest
 
-from classgen import cli
+from classgen import Family, GroupSpec, cli, theoretical_order
 from classgen.cli import main
 
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
@@ -174,6 +176,18 @@ def test_order_large_is_exact(capsys):
                               * (9**8 - 1) * (9**10 - 1))
 
 
+@pytest.mark.parametrize("degree,q", [(27, 1048576), (120, 2)])
+def test_order_beyond_the_int_to_str_limit(capsys, degree, q):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_main(capsys, ["order", "--family", "gl",
+                                       "--degree", str(degree), "--q", str(q)])
+    assert code == 0, err
+    expected = theoretical_order(GroupSpec(Family.GL, degree, q))
+    assert out == str(decimal.Decimal(expected)) + "\n"  # exact, and not bound by the limit
+    assert len(out) - 1 > limit
+    assert sys.get_int_max_str_digits() == limit
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -214,6 +228,23 @@ def test_exit_3_for_closure_size_limit():
     assert proc.returncode == 3
     assert "q**n <= 2**20" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_certify_refuses_limits_before_building_generators(capsys, monkeypatch):
+    def no_pair(spec):
+        raise AssertionError("generator_pair must not be called")
+
+    closure_module = importlib.import_module("classgen.closure")
+    monkeypatch.setattr(closure_module, "generator_pair", no_pair)
+    code, out, err = run_main(capsys, ["certify", "--family", "gl",
+                                       "--degree", "27", "--q", "1048576"])
+    assert code == 3
+    assert "q**n <= 2**20" in err
+    assert out == ""
+    code, _, err = run_main(capsys, ["certify", "--family", "su", "--degree", "2",
+                                     "--q", "1048576"])
+    assert code == 2
+    assert "unsupported parameters" in err
 
 
 def test_exit_5_for_internal_errors(capsys, monkeypatch):

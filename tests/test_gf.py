@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from classgen import (
     DEFAULT_FIELD_CAP,
@@ -9,6 +11,7 @@ from classgen import (
     frobenius,
     poly_string,
 )
+from classgen.gf import _is_prime
 from oracles import brute_order
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
@@ -28,6 +31,13 @@ SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), 
     (2, 3, (1, 0, 1, 1), (0, 0, 1)),  # t^3 + t^2 + 1, xi = t^2
     (5, 2, (1, 1, 1), (1, 3)),        # t^2 + t + 1, xi = 1 + 3t
     (2, 4, (1, 0, 0, 1, 1), (0, 0, 1, 0)),
+    # the big fields of the gens fixtures (perfbench/fixtures/gens)
+    (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1), (0,) * 19 + (1,)),
+    (3, 12, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1), (0,) * 9 + (1, 0, 2)),
+    (2, 18, (1,) + (0,) * 14 + (1, 0, 0, 1), (0,) * 16 + (1, 1)),
+    (7, 7, (1, 0, 0, 0, 0, 0, 6, 1), (0, 0, 0, 0, 0, 0, 3)),
+    (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 0, 0, 0, 1, 1)),
+    (1021, 2, (1, 5, 1), (1, 9)),
 ])
 def test_construction_golden(p, k, modulus, xi_coeffs):
     ctx = field_create(p, k)
@@ -78,6 +88,22 @@ def test_modulus_is_least_irreducible(p, k):
             return
         assert not irreducible(cand)
     raise AssertionError("modulus not reached in lexicographic scan")
+
+
+ORACLE_FIELDS = [(p, k) for p in range(2, 65) for k in range(2, 13)
+                 if _is_prime(p) and p**k <= 4096]
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+def test_modulus_matches_sympy_scan(p, k):
+    """The first irreducible of the full lexicographic scan, zero constant
+    terms included, judged by sympy, is the modulus field_create picks."""
+    for low in itertools.product(range(p), repeat=k):
+        cand = low + (1,)
+        if gf_irreducible_p(list(reversed(cand)), p, ZZ):
+            assert field_create(p, k).modulus == cand
+            return
+    raise AssertionError("no irreducible candidate found")
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS + [(2, 5), (3, 3)])

@@ -1,0 +1,96 @@
+"""Property tests over random inputs.
+
+Every test is derandomized, so a run draws the same examples each time and
+tier-1 stays deterministic; max_examples bounds the cost.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from classgen import Family, GroupSpec, Mat, field_create, generator_pair, is_member
+from classgen.closure import ROW_CODE_LIMIT, _decode, _row_codes
+from classgen.gf import DEFAULT_FIELD_CAP
+
+
+def _prime_powers(limit: int) -> list[int]:
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    out = []
+    for p in np.flatnonzero(sieve).tolist():
+        power = p
+        while power <= limit:
+            out.append(power)
+            power *= p
+    return sorted(out)
+
+
+# Field size Q <= 2**20: q itself for GL/SL/Sp, q**2 for GU/SU.
+LINEAR_Q = _prime_powers(DEFAULT_FIELD_CAP)
+UNITARY_Q = _prime_powers(1024)
+COVERED_DEGREES = {
+    Family.GL: (2, 3, 4),
+    Family.SL: (2, 3, 4),
+    Family.SP: (2, 4),
+    Family.GU: (3, 4),
+    Family.SU: (3, 4),
+}
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def covered_specs(draw):
+    family = draw(st.sampled_from(list(Family)))
+    unitary = family in (Family.GU, Family.SU)
+    q = draw(st.sampled_from(UNITARY_Q if unitary else LINEAR_Q))
+    return GroupSpec(family, draw(st.sampled_from(COVERED_DEGREES[family])), q)
+
+
+@PROPERTY
+@given(covered_specs())
+def test_generators_of_covered_specs_are_invertible_members(spec):
+    pair = generator_pair(spec)
+    for g in (pair.a, pair.b):
+        assert g.det()
+        assert is_member(spec, g)
+
+
+@st.composite
+def entry_code_batches(draw):
+    q = draw(st.integers(2, 2048))
+    n_max = 1
+    while q ** (n_max + 1) <= ROW_CODE_LIMIT:
+        n_max += 1
+    n = draw(st.integers(1, n_max))
+    count = draw(st.integers(1, 5))
+    flat = draw(st.lists(st.integers(0, q - 1), min_size=count * n * n,
+                         max_size=count * n * n))
+    return q, np.array(flat, dtype=np.int64).reshape(count, n, n)
+
+
+@PROPERTY
+@given(entry_code_batches())
+def test_row_codes_round_trip(batch):
+    q, codes = batch
+    assert np.array_equal(_decode(_row_codes(codes, q), q), codes)
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 8), (257, 1), (2, 20), (1021, 2)]
+
+
+@st.composite
+def matrices(draw):
+    ctx = field_create(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, ctx.q - 1), min_size=n * n, max_size=n * n))
+    return Mat(ctx, np.array(flat, dtype=np.int64).reshape(n, n))
+
+
+@PROPERTY
+@given(matrices())
+def test_canonical_encoding_round_trips(m):
+    assert Mat.decode_canonical(m.ctx, m.encode_canonical()) == m
