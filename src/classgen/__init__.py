@@ -51,7 +51,6 @@ from classgen.forms import (
 )
 from classgen.gf import (
     DEFAULT_FIELD_CAP,
-    TABLE_LIMIT,
     FieldCtx,
     FieldElem,
     field_create,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate", "ClosureResult", "DEFAULT_CAP", "DEFAULT_FIELD_CAP",
     "DualKind", "Family", "FieldCtx", "FieldElem", "FormKind", "GeneratorPair",
-    "GramForm", "GroupSpec", "Mat", "TABLE_LIMIT", "UnsupportedParametersError",
+    "GramForm", "GroupSpec", "Mat", "UnsupportedParametersError",
     "Verdict", "case_label", "certify", "closure", "cycle_w", "dual_index",
     "elem_h", "elem_x", "field_create", "field_for", "field_to_json",
     "form_defect", "frobenius", "generator_pair", "gram", "group_elements",

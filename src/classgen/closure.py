@@ -5,7 +5,8 @@ the frontier by each generator.  A matrix is held as its n row codes: the
 row with entry codes (c_0, ..., c_{n-1}) has code c_0 + c_1*q + ... +
 c_{n-1}*q**(n-1) in [0, q**n).  Row i of M*g is (row i of M)*g, so each
 generator g gets a table T_g of length q**n mapping v to v*g, and the
-product of a whole frontier is the single gather T_g[frontier].  The
+product of a whole frontier is the single gather T_g[frontier], built
+from the field's structure constants like every Mat product.  The
 visited-set key of a matrix is the bytes of its n row codes.  Only keys are
 stored beyond the frontier, so memory is one key per element.  The search
 stops when the frontier empties (exact count) or the visited set grows past
@@ -108,20 +109,22 @@ def _prepare(gens: list[Mat], cap: int):
 def _row_table(g: Mat) -> np.ndarray:
     """T with T[v] = v*g for every row code v in [0, q**n).
 
-    Each output digit column is built by doubling over the input
-    coordinates: the codes whose top coordinate is l are the codes below
-    q**l plus c * q**l, so one (q, q**l) table lookup extends the column.
+    A row code has n*k base-p digits and v -> v*g is an (n*k, n*k) matrix
+    over GF(p).  Each output digit column doubles over the input digits: the
+    codes with top digit c at m are c * p**m plus the codes below p**m.
     """
     ctx, n = g.ctx, g.n
-    add_t, mul_t = ctx.tables()
+    p, nk = ctx.p, n * ctx.k
+    action = (np.einsum("ljt,stu->lsju", ctx.digits(g.codes), ctx.tables()) % p).reshape(nk, nk)
     size = ctx.q**n
     dtype = np.min_scalar_type(size - 1)
     table = np.zeros(size, dtype=dtype)
-    for j in range(n):
-        col = np.zeros(1, dtype=np.uint16)
-        for l in range(n):
-            col = add_t[mul_t[:, g.codes[l, j]][:, None], col].ravel()
-        table += col.astype(dtype) * dtype.type(ctx.q**j)
+    col_dtype = np.min_scalar_type(nk * (p - 1))  # sums of nk terms < p, reduced once
+    for out in range(nk):
+        col = np.zeros(1, dtype=col_dtype)
+        for m in range(nk):
+            col = ((np.arange(p) * action[m, out] % p).astype(col_dtype)[:, None] + col).ravel()
+        table += (col % p).astype(dtype) * dtype.type(p**out)
     return table
 
 

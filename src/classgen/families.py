@@ -55,8 +55,11 @@ from classgen.forms import (
     special_scalar_beta,
     special_scalar_eta,
 )
-from classgen.gf import FieldCtx, field_create
+from classgen.gf import FieldCtx, _prime_factors, field_create
 from classgen.matrix import Mat
+
+
+MAX_Q = 2**40
 
 
 class UnsupportedParametersError(ValueError):
@@ -105,6 +108,9 @@ class GroupSpec:
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
         if int(self.q) != self.q or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q}")
+        if self.q > MAX_Q:
+            # Factoring q by trial division takes about 0.1 s at this bound.
+            raise ValueError(f"q = {self.q} exceeds the limit 2**40")
 
 
 @dataclass(frozen=True)
@@ -117,18 +123,14 @@ class GeneratorPair:
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1 if p == 2 else 2
-    else:
-        return (q, 1)
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        return None
+    p, k = factors[0], 0
+    while q > 1:
+        q //= p
         k += 1
-    return (p, k) if m == 1 else None
+    return p, k
 
 
 def case_label(spec: GroupSpec) -> str:

@@ -10,38 +10,23 @@ lexicographically least element of multiplicative order exactly q - 1.
 Both comparisons read coefficient tuples constant term first.  Two calls of
 field_create with equal (p, k) therefore return identical contexts.
 
-Small fields (q <= TABLE_LIMIT) lazily build q x q lookup tables; these only
-speed things up and never change results.
+Scalar arithmetic works on coefficient lists; bulk products contract digit
+arrays with the structure constants of FieldCtx.tables, for every field.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 DEFAULT_FIELD_CAP = 2**20
-TABLE_LIMIT = 2048
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, by trial division."""
+    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
     out = []
     f = 2
     while f * f <= n:
@@ -53,6 +38,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 # Polynomials over GF(p) are lists of residues, constant term first.
@@ -115,10 +104,7 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldCtx:
     """One finite field GF(p^k).  Construct through field_create only."""
 
-    __slots__ = (
-        "p", "k", "q", "modulus", "xi_code",
-        "_add_table", "_mul_table", "_inv_table", "_exp", "_log",
-    )
+    __slots__ = ("p", "k", "q", "modulus", "xi_code", "_basis_mul", "_baby_steps")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...], xi_code: int):
         self.p = p
@@ -126,11 +112,8 @@ class FieldCtx:
         self.q = p**k
         self.modulus = modulus
         self.xi_code = xi_code
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
-        self._exp = None
-        self._log = None
+        self._basis_mul = None
+        self._baby_steps = None
 
     # -- identity and comparison ------------------------------------------
 
@@ -203,8 +186,6 @@ class FieldCtx:
     # -- arithmetic on codes -------------------------------------------------
 
     def add_code(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
         p = self.p
         shift, out = 1, 0
         for _ in range(self.k):
@@ -227,11 +208,6 @@ class FieldCtx:
         return self.add_code(a, self.neg_code(b))
 
     def mul_code(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        return self._mul_code_poly(a, b)
-
-    def _mul_code_poly(self, a: int, b: int) -> int:
         pa = list(self.code_to_coeffs(a))
         pb = list(self.code_to_coeffs(b))
         return self.coeffs_to_code(_poly_mulmod(pa, pb, self.modulus[: self.k], self.p, self.k))
@@ -239,8 +215,6 @@ class FieldCtx:
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by the zero field element")
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
         return self.pow_code(a, self.q - 2)
 
     def pow_code(self, a: int, e: int) -> int:
@@ -267,55 +241,48 @@ class FieldCtx:
     def frobenius_code(self, a: int) -> int:
         return self.pow_code(a, self.subfield_order())
 
-    # -- lookup tables ---------------------------------------------------------
+    # -- bulk arithmetic -------------------------------------------------------
 
-    def tables_supported(self) -> bool:
-        return self.q <= TABLE_LIMIT
+    def digits(self, codes: np.ndarray) -> np.ndarray:
+        """Base-p digits of an array of codes, in a new trailing axis of length k."""
+        powers = self.p ** np.arange(self.k, dtype=np.int64)
+        return np.asarray(codes, dtype=np.int64)[..., None] // powers % self.p
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) tables as (q, q) uint16 arrays.  Only for q <= TABLE_LIMIT."""
-        if self._mul_table is None:
-            if not self.tables_supported():
-                raise ValueError(
-                    f"GF({self.q}) exceeds the lookup-table limit {TABLE_LIMIT}")
-            self._build_tables()
-        return self._add_table, self._mul_table
+    def tables(self) -> np.ndarray:
+        """Structure constants S, an int64 array of shape (k, k, k).
 
-    def _build_tables(self) -> None:
-        q, p, k = self.q, self.p, self.k
-        powers = p ** np.arange(k, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
-        add = np.empty((q, q), dtype=np.uint16)
-        step = max(1, (1 << 22) // (q * k))
-        for lo in range(0, q, step):
-            s = (digits[lo:lo + step, None, :] + digits[None, :, :]) % p
-            add[lo:lo + step] = (s @ powers).astype(np.uint16)
-        exp = np.empty(q - 1, dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = self._mul_code_poly(cur, self.xi_code)
-        if cur != 1:
-            raise AssertionError("xi does not have multiplicative order q - 1")
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
-        mul = exp[(log[:, None] + log[None, :]) % (q - 1)].astype(np.uint16)
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        inv = np.zeros(q, dtype=np.uint16)
-        inv[exp] = exp[(q - 1 - log[exp]) % (q - 1)].astype(np.uint16)
-        self._exp = exp
-        self._log = log
-        self._add_table = add
-        self._mul_table = mul
-        self._inv_table = inv
+        S[s, t] is the coefficient vector of t**(s+t) mod the modulus, so
+        the product of digit vectors x and y has digit vector
+        sum over s, t of x[s] * y[t] * S[s, t], mod p.
+        """
+        if self._basis_mul is None:
+            k = self.k
+            powers = [_poly_rem([0] * d + [1] + [0] * k, self.modulus, self.p)
+                      for d in range(2 * k - 1)]  # t**0 .. t**(2k-2)
+            self._basis_mul = np.array(powers, dtype=np.int64)[np.add.outer(range(k), range(k))]
+        return self._basis_mul
 
     def dlog_code(self, code: int) -> int:
-        """Discrete log base xi; code must be nonzero."""
+        """Discrete log base xi, in [0, q - 2]; code must be nonzero.
+
+        Baby-step giant-step; the m = ceil(sqrt(q - 1)) baby steps are cached.
+        """
         if code == 0:
             raise ZeroDivisionError("zero has no discrete logarithm")
-        self.tables()
-        return int(self._log[code])
+        m = math.isqrt(self.q - 2) + 1
+        if self._baby_steps is None:
+            baby, cur = {}, 1
+            for j in range(m):
+                baby[cur] = j
+                cur = self.mul_code(cur, self.xi_code)
+            self._baby_steps = baby
+        giant = self.pow_code(self.xi_code, -m)
+        for i in range(m):
+            j = self._baby_steps.get(code)
+            if j is not None:
+                return i * m + j
+            code = self.mul_code(code, giant)
+        raise AssertionError("xi does not generate the multiplicative group")
 
 
 def digit_width(p: int) -> int:

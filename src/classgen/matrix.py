@@ -1,11 +1,13 @@
 """Dense square matrices over a finite field: exact arithmetic, canonical bytes.
 
 Entries are stored as an (n, n) array of integer element codes.  Matrices
-are immutable.  The canonical encoding is a field-independent byte form of
-one matrix: one byte for the degree n (so n <= 255), then the entries in
-row-major order, each entry as its k base-p digits (constant term first),
-every digit written as digit_width(p) little-endian bytes.  The closure
-enumeration does not use it; it keys matrices on their row codes.
+are immutable.  Every product contracts the base-p digits of both factors
+with the field's structure constants (FieldCtx.tables).  The canonical
+encoding is a field-independent byte form of one matrix: one byte for the
+degree n (so n <= 255), then the entries in row-major order, each entry as
+its k base-p digits (constant term first), every digit written as
+digit_width(p) little-endian bytes.  The closure enumeration does not use
+it; it keys matrices on their row codes.
 """
 
 from __future__ import annotations
@@ -102,22 +104,14 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._check_compatible(other)
-        ctx, n = self.ctx, self.n
-        a, b = self._codes, other._codes
-        if ctx.tables_supported():
-            add_t, mul_t = ctx.tables()
-            acc = mul_t[a[:, 0][:, None], b[0, :][None, :]].astype(np.int64)
-            for l in range(1, n):
-                acc = add_t[acc, mul_t[a[:, l][:, None], b[l, :][None, :]]].astype(np.int64)
-            return Mat(ctx, acc)
-        out = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                s = 0
-                for l in range(n):
-                    s = ctx.add_code(s, ctx.mul_code(int(a[i, l]), int(b[l, j])))
-                out[i, j] = s
-        return Mat(ctx, out)
+        ctx = self.ctx
+        a, b = ctx.digits(self._codes), ctx.digits(other._codes)
+        # Digits are < p <= 2**20, so each of the n terms of a digit product
+        # sum is < 2**40 and int64 stays exact for degree n < 2**23; the k**2
+        # terms of the contraction with S stay below 2**49 for q <= 2**20.
+        prod = np.einsum("ils,ljt->ijst", a, b) % ctx.p
+        out = np.einsum("ijst,stu->iju", prod, ctx.tables()) % ctx.p
+        return Mat(ctx, out @ ctx.p ** np.arange(ctx.k, dtype=np.int64))
 
     def __pow__(self, e: int):
         if e < 0:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from classgen import Family, GroupSpec, cli, theoretical_order
+from classgen import Family, GroupSpec, cli, generator_pair, theoretical_order
 from classgen.cli import main
 
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
@@ -113,6 +113,25 @@ def test_gens_gap_states_the_modulus_for_extension_fields(capsys):
     assert code == 0
     assert "GF(4) = GF(2)[t] / (t^2 + t + 1)" in out
     assert "j := [" in out
+
+
+@pytest.mark.parametrize("family,degree,q", [("gl", 2, 4096), ("gu", 3, 1024)])
+def test_gens_gap_on_fields_past_2048_elements(capsys, family, degree, q):
+    code, out, _ = run_main(capsys, ["gens", "--family", family, "--degree", str(degree),
+                                     "--q", str(q), "--format", "gap"])
+    assert code == 0
+    pair = generator_pair(GroupSpec(Family(family), degree, q))
+    ctx = pair.ctx
+    lines = out.splitlines()
+    for name, m in (("a", pair.a), ("b", pair.b)):
+        start = lines.index(f"{name} := [") + 1
+        for row, line in zip(m.codes, lines[start:start + degree]):
+            entries = line.strip().rstrip(",").strip("[] ").split(", ")
+            for code, entry in zip(row, entries, strict=True):
+                if code == 0:
+                    assert entry == "0*xi^0"
+                else:
+                    assert ctx.pow_code(ctx.xi_code, int(entry.removeprefix("xi^"))) == code
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +247,17 @@ def test_exit_3_for_closure_size_limit():
     assert proc.returncode == 3
     assert "q**n <= 2**20" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_exit_3_for_q_above_2_power_40_without_factoring_it():
+    for command in ("gens", "order", "certify"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "classgen", command, "--family", "gl",
+             "--degree", "2", "--q", "1000000000000000003"],
+            capture_output=True, text=True, env=REPO_ENV, timeout=10)
+        assert proc.returncode == 3
+        assert "exceeds the limit 2**40" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_certify_refuses_limits_before_building_generators(capsys, monkeypatch):

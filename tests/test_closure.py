@@ -200,15 +200,16 @@ def test_verdict_values():
 # ---------------------------------------------------------------------------
 
 def test_row_table_products_match_mat_mul():
-    ctx = field_create(3, 2)
-    rng = random.Random(37)
-    mats = [Mat.from_rows(ctx, [[rng.randrange(9) for _ in range(3)]
-                                for _ in range(3)]) for _ in range(20)]
-    gen = Mat.from_rows(ctx, [[rng.randrange(9) for _ in range(3)] for _ in range(3)])
-    rows = _row_codes(np.stack([m.codes for m in mats]), ctx.q)
-    products = _decode(_row_table(gen)[rows], ctx.q)
-    for prod, m in zip(products, mats):
-        assert Mat(ctx, prod) == m * gen
+    for p, k, n in [(3, 2, 3), (2, 4, 2), (5, 2, 3), (5, 8, 1), (1021, 2, 1)]:
+        ctx = field_create(p, k)
+        rng = random.Random(37)
+        mats = [Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)]))
+                for _ in range(20)]
+        gen = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)]))
+        rows = _row_codes(np.stack([m.codes for m in mats]), ctx.q)
+        products = _decode(_row_table(gen)[rows], ctx.q)
+        for prod, m in zip(products, mats):
+            assert Mat(ctx, prod) == m * gen
 
 
 @pytest.mark.parametrize("family,degree,q,expected", [

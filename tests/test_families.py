@@ -118,6 +118,14 @@ def test_non_prime_power_q_is_not_covered(q):
         case_label(GroupSpec(Family.GL, 3, q))
 
 
+def test_q_above_2_power_40_is_refused_before_factoring():
+    assert case_label(GroupSpec(Family.GL, 2, 2**40)) == "GL, q > 2"
+    assert case_label(GroupSpec(Family.GL, 2, 2**40 - 87)) == "GL, q > 2"  # a prime
+    for q in (2**40 + 1, 10**18 + 3):
+        with pytest.raises(ValueError, match=r"exceeds the limit 2\*\*40"):
+            GroupSpec(Family.GL, 2, q)
+
+
 def test_unsupported_is_a_value_error():
     assert issubclass(UnsupportedParametersError, ValueError)
 

@@ -1,11 +1,14 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from classgen import (
     DEFAULT_FIELD_CAP,
+    Mat,
     field_create,
     field_to_json,
     frobenius,
@@ -301,19 +304,23 @@ def test_frobenius_explicit_subfield_order():
 
 
 # ---------------------------------------------------------------------------
-# Lookup tables mirror the polynomial arithmetic
+# Structure constants and bulk products mirror the polynomial arithmetic
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (2, 4)])
 def test_tables_match_polynomial_arithmetic(p, k):
     ctx = field_create(p, k)
-    assert ctx.tables_supported()
-    add_t, mul_t = ctx.tables()
-    assert add_t.shape == (ctx.q, ctx.q) and mul_t.shape == (ctx.q, ctx.q)
+    s_tensor = ctx.tables()
+    assert s_tensor.shape == (k, k, k)
+    for s in range(k):
+        for t in range(k):
+            assert tuple(s_tensor[s, t]) == ctx.code_to_coeffs(ctx.mul_code(p**s, p**t))
+    codes = np.arange(ctx.q)
+    assert [tuple(d) for d in ctx.digits(codes)] == [ctx.code_to_coeffs(c) for c in codes]
     for a in range(ctx.q):
         for b in range(ctx.q):
-            assert int(add_t[a, b]) == ctx.add_code(a, b)
-            assert int(mul_t[a, b]) == ctx._mul_code_poly(a, b)
+            prod = Mat(ctx, np.array([[a]])) * Mat(ctx, np.array([[b]]))
+            assert int(prod.codes[0, 0]) == ctx.mul_code(a, b)
 
 
 def test_dlog_inverts_xi_powers():
@@ -324,6 +331,15 @@ def test_dlog_inverts_xi_powers():
     assert ctx.dlog_code(1) == 0
     with pytest.raises(ZeroDivisionError):
         ctx.dlog_code(0)
+
+
+def test_dlog_round_trips_on_the_largest_field():
+    ctx = field_create(2, 20)
+    rng = random.Random(20)
+    for e in [0, 1, 2, ctx.q - 2, 1023, 1024, 1025] + [rng.randrange(ctx.q - 1) for _ in range(8)]:
+        assert ctx.dlog_code(ctx.pow_code(ctx.xi_code, e)) == e
+    for code in [1, 2, ctx.q - 1] + [rng.randrange(1, ctx.q) for _ in range(8)]:
+        assert ctx.pow_code(ctx.xi_code, ctx.dlog_code(code)) == code
 
 
 # ---------------------------------------------------------------------------

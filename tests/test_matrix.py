@@ -77,7 +77,9 @@ def test_mul_golden_gf2():
     assert (a * b).rows() == Mat.from_rows(GF2, [[1, 1], [1, 0]]).rows()
 
 
-@pytest.mark.parametrize("ctx", [GF2, GF4, GF8, GF9], ids=lambda c: f"GF{c.q}")
+@pytest.mark.parametrize("ctx", [GF2, GF4, GF8, GF9, field_create(5, 5), field_create(2, 20),
+                                 field_create(1021, 2), field_create(1048573, 1)],
+                         ids=lambda c: f"GF{c.q}")
 def test_mul_matches_scalar_oracle(ctx):
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
@@ -88,14 +90,21 @@ def test_mul_matches_scalar_oracle(ctx):
 
 
 def test_mul_without_lookup_tables():
-    """Fields past the table limit fall back to scalar arithmetic."""
-    big = field_create(5, 5)  # q = 3125 > table limit
-    assert not big.tables_supported()
+    """A field with more than 2048 elements multiplies on the same path."""
+    big = field_create(5, 5)  # q = 3125
     rng = random.Random(3)
     a = random_mat(big, 3, rng)
     b = random_mat(big, 3, rng)
     assert a * b == slow_mat_mul(a, b)
     assert (a * Mat.identity(big, 3)) == a
+
+
+def test_mul_digit_sums_stay_exact_at_the_largest_prime():
+    """Every digit product is (p-1)**2 ~ 2**40; sixteen of them must not wrap."""
+    ctx = field_create(1048573, 1)
+    a = Mat(ctx, np.full((16, 16), ctx.p - 1, dtype=np.int64))
+    assert a * a == slow_mat_mul(a, a)
+    assert (a * a).codes.tolist() == [[16] * 16] * 16
 
 
 def test_mul_shape_and_field_mismatch():

@@ -4,11 +4,14 @@ Every test is derandomized, so a run draws the same examples each time and
 tier-1 stays deterministic; max_examples bounds the cost.
 """
 
+import contextlib
+import io
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classgen import Family, GroupSpec, Mat, field_create, generator_pair, is_member
+from classgen import Family, GroupSpec, Mat, cli, field_create, generator_pair, is_member
 from classgen.closure import ROW_CODE_LIMIT, _decode, _row_codes
 from classgen.gf import DEFAULT_FIELD_CAP
 
@@ -94,3 +97,41 @@ def matrices(draw):
 @given(matrices())
 def test_canonical_encoding_round_trips(m):
     assert Mat.decode_canonical(m.ctx, m.encode_canonical()) == m
+
+
+FAMILY_NAMES = ["gl", "sl", "sp", "gu", "su", "general linear", "special linear",
+                "symplectic", "general unitary", "special_unitary"]
+SMALL_PRIME_POWERS = _prime_powers(64)
+NON_PRIME_POWERS = [6, 10, 12, 15, 18, 24, 36, 100, 1000, 2**20 - 1]
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["gens", "order", "certify"]))
+    # sampled_from spreads the draws where st.integers and st.one_of favour
+    # their smallest values and first branch; half the q are covered.
+    kind = draw(st.sampled_from(["covered"] * 3 + ["not a prime power", "<= 1", "> 2**40"]))
+    q = draw({"covered": st.sampled_from(SMALL_PRIME_POWERS),
+              "not a prime power": st.sampled_from(NON_PRIME_POWERS),
+              "<= 1": st.integers(-5, 1),
+              "> 2**40": st.integers(2**40 + 1, 2**70)}[kind])
+    argv = [command, "--family", draw(st.sampled_from(FAMILY_NAMES)),
+            "--degree", str(draw(st.sampled_from(range(26)))), "--q", str(q)]
+    if command == "gens":
+        argv += ["--format", draw(st.sampled_from(["json", "text", "gap"]))]
+    if command == "certify":
+        argv += ["--cap", str(draw(st.integers(1, 2000)))]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(cli_argvs())
+def test_cli_exit_codes_are_documented_and_never_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
