@@ -18,7 +18,7 @@ from classgen.atoms import (
     transposition_w,
     w_prime,
 )
-from classgen.closure import (
+from classgen.enumeration import (
     DEFAULT_CAP,
     Certificate,
     ClosureResult,

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from classgen.closure import DEFAULT_CAP, Verdict, certify, theoretical_order
+from classgen.enumeration import DEFAULT_CAP, Verdict, certify, theoretical_order
 from classgen.families import (
     GroupSpec,
     UnsupportedParametersError,

@@ -6,11 +6,15 @@ row with entry codes (c_0, ..., c_{n-1}) has code c_0 + c_1*q + ... +
 c_{n-1}*q**(n-1) in [0, q**n).  Row i of M*g is (row i of M)*g, so each
 generator g gets a table T_g of length q**n mapping v to v*g, and the
 product of a whole frontier is the single gather T_g[frontier], built
-from the field's structure constants like every Mat product.  The
-visited-set key of a matrix is the bytes of its n row codes.  Only keys are
-stored beyond the frontier, so memory is one key per element.  The search
-stops when the frontier empties (exact count) or the visited set grows past
-the cap (truncated).  The result depends only on the generator set, not on
+from the field's structure constants like every Mat product.  The key of a
+matrix packs its n row codes, b = (q**n - 1).bit_length() bits each, into
+w = ceil(n*b/64) uint64 words; w is 1 for every degree n <= 3.  The visited
+set is one array of these keys in sorted order: each generator's products
+are deduplicated with one sort and looked up with one binary search, and
+the new keys are merged in before the cap check.  Only keys are stored
+beyond the frontier, so memory is 8*w bytes per element.  The search stops
+when the frontier empties (exact count) or the visited set grows past the
+cap (truncated).  The result depends only on the generator set, not on
 ordering or duplicates.  The tables limit closure to q**n <= 2**20
 (ROW_CODE_LIMIT), checked before any work.
 
@@ -139,17 +143,76 @@ def _decode(rows: np.ndarray, q: int) -> np.ndarray:
     return rows[..., None].astype(np.int64) // powers % q
 
 
-def _keys(rows: np.ndarray) -> list[bytes]:
-    """One visited-set key per matrix: the bytes of its n row codes."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
+    """(w, m) keys of (m, n) row codes, one column per matrix.
+
+    Row i fills bits [i*bits, (i+1)*bits) of a little-endian string of
+    w = ceil(n*bits/64) words.  Word 0 is then folded with each other word,
+    x -> (x ^ word) * C for an odd C.  Given the other words this is
+    invertible, so keys stay exact, and word 0 no longer holds only the
+    first few rows, which thousands of matrices can share (GL(20,2) at cap
+    200 000); sorting on word 0 then rarely ties.
+    """
+    m, n = rows.shape
+    keys = np.zeros((-(-n * bits // 64), m), dtype=np.uint64)
+    for i in range(n):
+        row = rows[:, i].astype(np.uint64)
+        word, shift = divmod(i * bits, 64)
+        keys[word] |= row << np.uint64(shift)
+        if shift + bits > 64:
+            keys[word + 1] |= row >> np.uint64(64 - shift)
+    for word in keys[1:]:
+        keys[0] = (keys[0] ^ word) * np.uint64(0x9E3779B97F4A7C15)
+    return keys
+
+
+def _dedup(visited: list[np.ndarray], keys: np.ndarray):
+    """Merge keys into visited; return it and the indices of the new keys.
+
+    visited is w arrays of V words, one per key word, holding V unique keys
+    sorted lexicographically with word 0 first.  The returned indices are
+    those of the first occurrence of each key of the (w, m) keys that is not
+    in visited, in increasing order.  One-word keys take numpy's fastest,
+    unstable argsort, so a first occurrence is the least index of its run.
+    Wider keys are sorted with np.lexsort, searched on word 0, and the ties
+    on word 0 are bisected on the other words.
+    """
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(head)
+    uniq, first = keys[:, starts], np.minimum.reduceat(order, starts)
+    pos = np.searchsorted(visited[0], uniq[0])
+    if len(keys) == 1:
+        new = np.take(visited[0], pos, mode="clip") != uniq[0]
+    else:
+        end = np.searchsorted(visited[0], uniq[0], "right")
+        new = np.ones(len(pos), dtype=bool)
+        live = np.flatnonzero(pos < end)
+        while live.size:
+            lo, hi = pos[live], end[live]
+            mid = (lo + hi) // 2
+            less = np.zeros(len(live), dtype=bool)
+            equal = np.ones(len(live), dtype=bool)
+            for words, b in zip(visited[1:], uniq[1:, live]):
+                a = words[mid]
+                less |= equal & (a < b)
+                equal &= a == b
+            new[live[equal]] = False
+            pos[live] = np.where(less, mid + 1, np.where(equal, mid, lo))
+            end[live] = np.where(less, hi, mid)
+            live = live[pos[live] < end[live]]
+    visited = [np.insert(words, pos[new], u) for words, u in zip(visited, uniq[:, new])]
+    return visited, np.sort(first[new])
 
 
 def _closure_impl(gens: list[Mat], cap: int, collect: bool):
     ctx, n = _prepare(gens, cap)
     tables = [_row_table(g) for g in gens]
+    bits = (ctx.q**n - 1).bit_length()
     frontier = _row_codes(Mat.identity(ctx, n).codes, ctx.q).astype(tables[0].dtype)[None]
-    visited = set(_keys(frontier))
+    visited = list(_pack(frontier, bits))
     found = [frontier] if collect else None
 
     rounds = 0
@@ -158,14 +221,10 @@ def _closure_impl(gens: list[Mat], cap: int, collect: bool):
         fresh_arrays = []
         for table in tables:
             prod = table[frontier]
-            fresh_idx = []
-            for idx, key in enumerate(_keys(prod)):
-                if key not in visited:
-                    visited.add(key)
-                    fresh_idx.append(idx)
-            if fresh_idx:
-                fresh_arrays.append(prod[fresh_idx])
-            if len(visited) > cap:
+            visited, first = _dedup(visited, _pack(prod, bits))
+            if first.size:
+                fresh_arrays.append(prod[first])
+            if len(visited[0]) > cap:
                 truncated = True
                 break
         if fresh_arrays:
@@ -175,7 +234,7 @@ def _closure_impl(gens: list[Mat], cap: int, collect: bool):
                 found.append(frontier)
         else:
             frontier = frontier[:0]
-    return ClosureResult(len(visited), truncated, rounds), found
+    return ClosureResult(len(visited[0]), truncated, rounds), found
 
 
 def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: multiplicative order by
 repeated multiplication, determinants by cofactor expansion, counting group
-elements by exhaustive filtering.
+elements by exhaustive filtering, and the breadth-first closure by Mat
+products in a Python set instead of row tables and sorted packed keys.
 """
 
 from __future__ import annotations
@@ -63,3 +64,36 @@ def all_matrices(ctx, n):
     for codes in itertools.product(range(ctx.q), repeat=n * n):
         yield Mat.from_rows(ctx, [[ctx.from_code(codes[i * n + j]) for j in range(n)]
                                   for i in range(n)])
+
+
+def set_closure(gens, cap):
+    """Breadth-first closure keyed by encode_canonical in a Python set.
+
+    Same search as closure(): right-multiply the frontier by each generator
+    in turn, keep first occurrences in order, check the cap after each
+    generator.  Returns ((size, truncated, rounds), elements in discovery
+    order).
+    """
+    identity = Mat.identity(gens[0].ctx, gens[0].n)
+    seen = {identity.encode_canonical()}
+    elements = [identity]
+    frontier = [identity]
+    rounds = 0
+    truncated = False
+    while frontier and not truncated:
+        fresh = []
+        for g in gens:
+            for m in frontier:
+                prod = m * g
+                key = prod.encode_canonical()
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(prod)
+            if len(seen) > cap:
+                truncated = True
+                break
+        if fresh:
+            rounds += 1
+            elements += fresh
+        frontier = fresh
+    return (len(seen), truncated, rounds), elements

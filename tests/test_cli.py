@@ -1,5 +1,4 @@
 import decimal
-import importlib
 import json
 import os
 import subprocess
@@ -7,6 +6,7 @@ import sys
 
 import pytest
 
+import classgen.enumeration as enumeration
 from classgen import Family, GroupSpec, cli, generator_pair, theoretical_order
 from classgen.cli import main
 
@@ -264,8 +264,7 @@ def test_certify_refuses_limits_before_building_generators(capsys, monkeypatch):
     def no_pair(spec):
         raise AssertionError("generator_pair must not be called")
 
-    closure_module = importlib.import_module("classgen.closure")
-    monkeypatch.setattr(closure_module, "generator_pair", no_pair)
+    monkeypatch.setattr(enumeration, "generator_pair", no_pair)
     code, out, err = run_main(capsys, ["certify", "--family", "gl",
                                        "--degree", "27", "--q", "1048576"])
     assert code == 3

@@ -1,11 +1,15 @@
 import importlib
 import itertools
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
+import classgen
+import classgen.enumeration as enumeration
 from classgen import (
+    DEFAULT_CAP,
     Family,
     GroupSpec,
     Mat,
@@ -20,7 +24,9 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen.closure import _decode, _row_codes, _row_table
+from classgen.enumeration import _decode, _dedup, _row_codes, _row_table
+from oracles import set_closure
+from test_acceptance import CLOSURE_GRID
 
 GF3 = field_create(3, 1)
 SL23 = GroupSpec(Family.SL, 2, 3)
@@ -226,7 +232,7 @@ def test_closure_rejects_q_power_n_above_the_limit_before_building_tables(monkey
     def no_tables(g):
         raise AssertionError("a row table was built")
 
-    monkeypatch.setattr(importlib.import_module("classgen.closure"), "_row_table", no_tables)
+    monkeypatch.setattr(enumeration, "_row_table", no_tables)
     pair = generator_pair(GroupSpec(Family.GL, 21, 2))
     with pytest.raises(ValueError, match=r"q\*\*n <= 2\*\*20"):
         closure([pair.a, pair.b], cap=10)
@@ -263,3 +269,80 @@ SL23_ELEMENT_BLOBS = [
 def test_group_elements_sl23_discovery_order():
     blobs = [m.encode_canonical().hex() for m in group_elements(sl23_gens())]
     assert blobs == SL23_ELEMENT_BLOBS
+
+
+# ---------------------------------------------------------------------------
+# Packed keys and the sorted visited set, against a Python-set BFS
+# ---------------------------------------------------------------------------
+
+def _pair(family, degree, q):
+    pair = generator_pair(GroupSpec(family, degree, q))
+    return [pair.a, pair.b]
+
+
+@pytest.mark.parametrize("family,degree,q", [
+    (family, degree, q) for family, degree, q, order in CLOSURE_GRID if order <= 6048])
+def test_closure_and_discovery_order_match_the_set_oracle(family, degree, q):
+    gens = _pair(family, degree, q)
+    want, elements = set_closure(gens, DEFAULT_CAP)
+    got = closure(gens)
+    assert (got.size, got.truncated, got.frontier_rounds) == want
+    assert group_elements(gens) == elements
+
+
+@pytest.mark.parametrize("family,degree,q,cap", [
+    *[(family, degree, q, cap)
+      for family, degree, q in [(Family.SL, 2, 3), (Family.SU, 4, 2), (Family.GL, 3, 3)]
+      for cap in (1, 10, 100, 1000)],
+    (Family.GL, 8, 4, 10),      # two-word keys
+    (Family.GL, 8, 4, 1000),
+    (Family.GL, 20, 2, 100),    # seven-word keys
+])
+def test_capped_closures_match_the_set_oracle(family, degree, q, cap):
+    gens = _pair(family, degree, q)
+    want, _ = set_closure(gens, cap)
+    got = closure(gens, cap=cap)
+    assert (got.size, got.truncated, got.frontier_rounds) == want
+
+
+def test_dedup_returns_first_occurrences_of_one_word_keys():
+    # enough repeats that an unstable argsort reorders equal keys
+    keys = np.random.default_rng(5).integers(0, 3000, size=20000, dtype=np.uint64)
+    seen = set(range(0, 3000, 3))
+    merged, first = _dedup([np.array(sorted(seen), dtype=np.uint64)], keys[None])
+    want = []
+    for index, key in enumerate(keys.tolist()):
+        if key not in seen:
+            seen.add(key)
+            want.append(index)
+    assert first.tolist() == want
+    assert merged[0].tolist() == sorted(seen)
+
+
+def test_dedup_compares_every_word_of_wide_keys():
+    old = [(3, 9, 9), *[(5, j, 0) for j in range(0, 100, 2)], (5, 4, 1), (8, 0, 0)]
+    batch = [
+        (5, 3, 0),    # new: word 0 ties with 51 visited keys
+        (5, 4, 0),    # visited
+        (5, 3, 0),    # repeat of index 0
+        (5, 4, 2),    # new: differs from two visited keys only in word 2
+        (3, 9, 9),    # visited
+        (5, 99, 0),   # new: after every tie on word 0
+        (4, 3, 0),    # new: differs from index 0 only in word 0
+        (5, 4, 2),    # repeat of index 3
+        (5, 0, 0),    # visited, first of its tie
+        (9, 0, 0),    # new: after every visited key
+    ]
+    old.sort()
+    visited = [np.array(words, dtype=np.uint64) for words in zip(*old)]
+    keys = np.array(batch, dtype=np.uint64).T
+    merged, first = _dedup(visited, keys)
+    assert first.tolist() == [0, 3, 5, 6, 9]
+    assert list(zip(*(words.tolist() for words in merged))) == sorted(set(old) | set(batch))
+
+
+def test_no_package_attribute_shadows_a_submodule():
+    for info in pkgutil.iter_modules(classgen.__path__):
+        if not info.name.startswith("_"):
+            module = importlib.import_module(f"classgen.{info.name}")
+            assert getattr(classgen, info.name) is module

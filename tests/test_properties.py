@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classgen import Family, GroupSpec, Mat, cli, field_create, generator_pair, is_member
-from classgen.closure import ROW_CODE_LIMIT, _decode, _row_codes
+from classgen.enumeration import ROW_CODE_LIMIT, _decode, _row_codes
 from classgen.gf import DEFAULT_FIELD_CAP
 
 
