@@ -148,10 +148,10 @@ def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
 
     Row i fills bits [i*bits, (i+1)*bits) of a little-endian string of
     w = ceil(n*bits/64) words.  Word 0 is then folded with each other word,
-    x -> (x ^ word) * C for an odd C.  Given the other words this is
-    invertible, so keys stay exact, and word 0 no longer holds only the
-    first few rows, which thousands of matrices can share (GL(20,2) at cap
-    200 000); sorting on word 0 then rarely ties.
+    x -> (x ^ x >> 32) * C ^ word for an odd C.  Given the other words each
+    step is invertible, so keys stay exact, and word 0 no longer holds only
+    the first few rows, which thousands of matrices can share (GL(20,2) at
+    cap 200 000), so distinct keys almost never tie on it.
     """
     m, n = rows.shape
     keys = np.zeros((-(-n * bits // 64), m), dtype=np.uint64)
@@ -162,7 +162,7 @@ def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
         if shift + bits > 64:
             keys[word + 1] |= row >> np.uint64(64 - shift)
     for word in keys[1:]:
-        keys[0] = (keys[0] ^ word) * np.uint64(0x9E3779B97F4A7C15)
+        keys[0] = (keys[0] ^ keys[0] >> np.uint64(32)) * np.uint64(0x9E3779B97F4A7C15) ^ word
     return keys
 
 
@@ -172,15 +172,21 @@ def _dedup(visited: list[np.ndarray], keys: np.ndarray):
     visited is w arrays of V words, one per key word, holding V unique keys
     sorted lexicographically with word 0 first.  The returned indices are
     those of the first occurrence of each key of the (w, m) keys that is not
-    in visited, in increasing order.  One-word keys take numpy's fastest,
-    unstable argsort, so a first occurrence is the least index of its run.
-    Wider keys are sorted with np.lexsort, searched on word 0, and the ties
-    on word 0 are bisected on the other words.
+    in visited, in increasing order.  Keys are sorted on word 0 by numpy's
+    fastest, unstable argsort, so a first occurrence is the least index of
+    its run; only when word 0 ties between different keys does np.lexsort
+    sort on every word.  Lookups search word 0 and bisect its ties on the
+    other words.
     """
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    order = np.argsort(keys[0])
     keys = keys[:, order]
+    same = keys[:, 1:] == keys[:, :-1]
+    if len(keys) > 1 and not same.all(axis=0)[same[0]].all():
+        resort = np.lexsort(keys[::-1])
+        order, keys = order[resort], keys[:, resort]
+        same = keys[:, 1:] == keys[:, :-1]
     head = np.ones(len(order), dtype=bool)
-    head[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    head[1:] = ~same.all(axis=0)
     starts = np.flatnonzero(head)
     uniq, first = keys[:, starts], np.minimum.reduceat(order, starts)
     pos = np.searchsorted(visited[0], uniq[0])

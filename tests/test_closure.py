@@ -24,7 +24,7 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen.enumeration import _decode, _dedup, _row_codes, _row_table
+from classgen.enumeration import _decode, _dedup, _pack, _row_codes, _row_table
 from oracles import set_closure
 from test_acceptance import CLOSURE_GRID
 
@@ -303,6 +303,21 @@ def test_capped_closures_match_the_set_oracle(family, degree, q, cap):
     want, _ = set_closure(gens, cap)
     got = closure(gens, cap=cap)
     assert (got.size, got.truncated, got.frontier_rounds) == want
+
+
+@pytest.mark.parametrize("n,bits,words", [(3, 20, 1), (8, 16, 2), (13, 13, 3), (20, 20, 7)])
+def test_pack_keeps_matrices_differing_in_one_bit_apart(n, bits, words):
+    rng = np.random.default_rng(7)
+    base = rng.integers(0, 2**bits, size=(50, n))
+    rows = [base]
+    for i in range(n):
+        flipped = base.copy()
+        flipped[:, i] ^= 1 << rng.integers(0, bits, size=50)
+        rows.append(flipped)
+    rows = np.concatenate(rows)
+    keys = _pack(rows, bits)
+    assert keys.shape == (words, len(rows))
+    assert len(set(zip(*keys.tolist()))) == len(set(map(tuple, rows.tolist())))
 
 
 def test_dedup_returns_first_occurrences_of_one_word_keys():
