@@ -149,9 +149,9 @@ def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
     Row i fills bits [i*bits, (i+1)*bits) of a little-endian string of
     w = ceil(n*bits/64) words.  Word 0 is then folded with each other word,
     x -> (x ^ x >> 32) * C ^ word for an odd C.  Given the other words each
-    step is invertible, so keys stay exact, and word 0 no longer holds only
-    the first few rows, which thousands of matrices can share (GL(20,2) at
-    cap 200 000), so distinct keys almost never tie on it.
+    step is invertible, so keys stay exact.  Word 0 then depends on every
+    row, not only on the first few, which thousands of matrices can share
+    (GL(20,2) at cap 200 000), so distinct keys almost never tie on it.
     """
     m, n = rows.shape
     keys = np.zeros((-(-n * bits // 64), m), dtype=np.uint64)
