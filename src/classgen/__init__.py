@@ -1,76 +1,52 @@
 """classgen: two-generator pairs for the classical matrix groups over finite
-fields, with exact field arithmetic and brute-force closure certification."""
+fields, with exact field arithmetic and brute-force closure certification.
 
-from classgen.atoms import (
-    DualKind,
-    cycle_w,
-    dual_index,
-    elem_h,
-    elem_x,
-    hat_h,
-    hat_w,
-    hat_x,
-    hat_z,
-    q_block,
-    tilde_h,
-    tilde_w,
-    tilde_x,
-    transposition_w,
-    w_prime,
-)
-from classgen.enumeration import (
-    DEFAULT_CAP,
-    Certificate,
-    ClosureResult,
-    Verdict,
-    certify,
-    closure,
-    group_elements,
-    theoretical_order,
-)
-from classgen.families import (
-    Family,
-    GeneratorPair,
-    GroupSpec,
-    UnsupportedParametersError,
-    case_label,
-    field_for,
-    generator_pair,
-    is_member,
-    parse_family,
-)
-from classgen.forms import (
-    FormKind,
-    GramForm,
-    form_defect,
-    gram,
-    is_special,
-    preserves,
-    special_scalar_beta,
-    special_scalar_eta,
-)
-from classgen.gf import (
-    DEFAULT_FIELD_CAP,
-    FieldCtx,
-    FieldElem,
-    field_create,
-    field_to_json,
-    frobenius,
-    poly_string,
-)
-from classgen.matrix import Mat
+The package imports lazily (PEP 562): each public name loads its submodule
+on first access, so `import classgen` and the parameter-only names (GroupSpec,
+theoretical_order, ...) do not load numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate", "ClosureResult", "DEFAULT_CAP", "DEFAULT_FIELD_CAP",
-    "DualKind", "Family", "FieldCtx", "FieldElem", "FormKind", "GeneratorPair",
-    "GramForm", "GroupSpec", "Mat", "UnsupportedParametersError",
-    "Verdict", "case_label", "certify", "closure", "cycle_w", "dual_index",
-    "elem_h", "elem_x", "field_create", "field_for", "field_to_json",
-    "form_defect", "frobenius", "generator_pair", "gram", "group_elements",
-    "hat_h", "hat_w", "hat_x", "hat_z", "is_member", "is_special",
-    "parse_family", "poly_string", "preserves", "q_block", "special_scalar_beta",
-    "special_scalar_eta", "theoretical_order", "tilde_h", "tilde_w", "tilde_x",
-    "transposition_w", "w_prime",
-]
+_EXPORTS = {
+    "atoms": (
+        "DualKind", "cycle_w", "dual_index", "elem_h", "elem_x", "hat_h", "hat_w",
+        "hat_x", "hat_z", "q_block", "tilde_h", "tilde_w", "tilde_x",
+        "transposition_w", "w_prime",
+    ),
+    "enumeration": (
+        "Certificate", "ClosureResult", "Verdict", "certify", "closure", "group_elements",
+    ),
+    "families": ("GeneratorPair", "field_for", "generator_pair", "is_member"),
+    "forms": (
+        "FormKind", "GramForm", "form_defect", "gram", "is_special", "preserves",
+        "special_scalar_beta", "special_scalar_eta",
+    ),
+    "gf": (
+        "DEFAULT_FIELD_CAP", "FieldCtx", "FieldElem", "field_create", "field_to_json",
+        "frobenius", "poly_string",
+    ),
+    "matrix": ("Mat",),
+    "spec": (
+        "DEFAULT_CAP", "Family", "GroupSpec", "UnsupportedParametersError",
+        "case_label", "parse_family", "theoretical_order",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,24 +13,19 @@ the closure), 5 internal error (a bug; never a verdict).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from classgen.enumeration import DEFAULT_CAP, Verdict, certify, theoretical_order
-from classgen.families import (
+from classgen.spec import (
+    DEFAULT_CAP,
     GroupSpec,
     UnsupportedParametersError,
-    generator_pair,
+    case_label,
     parse_family,
+    theoretical_order,
 )
-from classgen.forms import FormKind, gram
-from classgen.gf import field_to_json, poly_string
-from classgen.matrix import Mat
 
 CAP_ENV = "CLASSGEN_CAP"
-
-_FORM_KIND = {"sp": FormKind.SYMPLECTIC, "gu": FormKind.UNITARY, "su": FormKind.UNITARY}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _rows_payload(m: Mat) -> list:
+def _rows_payload(m) -> list:
     return [[list(e.coeffs) for e in row] for row in m.rows()]
 
 
@@ -60,6 +55,8 @@ def _is_leaf_list(node) -> bool:
 def _dumps(payload) -> str:
     """json.dumps(indent=2), but coefficient vectors and matrix rows stay
     on single lines so the output is readable for humans as well as parsers."""
+    import json
+
     compact: dict[str, str] = {}
 
     def mark(node):
@@ -79,20 +76,28 @@ def _dumps(payload) -> str:
     return text
 
 
-def _form_for(spec: GroupSpec, ctx) -> tuple[FormKind, Mat] | None:
-    kind = _FORM_KIND.get(spec.family.value)
+def _form_for(spec: GroupSpec, ctx) -> tuple | None:
+    """(form kind, Gram matrix) of the form sp/gu/su preserve; None for gl/sl."""
+    from classgen.forms import FormKind, gram
+
+    kind = {"sp": FormKind.SYMPLECTIC, "gu": FormKind.UNITARY,
+            "su": FormKind.UNITARY}.get(spec.family.value)
     if kind is None:
         return None
     form = gram(ctx, kind, spec.degree)
     return kind, form.j
 
 
-def _text_rows(m: Mat) -> list[str]:
+def _text_rows(m) -> list[str]:
     return ["  " + line for line in str(m).splitlines()]
 
 
 def cmd_gens(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
+    case_label(spec)  # refuse uncovered parameters before numpy loads
+    from classgen.families import generator_pair
+    from classgen.gf import field_to_json, poly_string
+
     pair = generator_pair(spec)
     ctx = pair.ctx
 
@@ -144,7 +149,7 @@ def cmd_gens(args) -> int:
     def gap_entry(code: int) -> str:
         return "0*xi^0" if code == 0 else f"xi^{ctx.dlog_code(code)}"
 
-    def gap_matrix(name: str, m: Mat) -> list[str]:
+    def gap_matrix(name: str, m) -> list[str]:
         body = []
         for i, row in enumerate(m.codes):
             sep = "," if i + 1 < m.n else ""
@@ -190,21 +195,43 @@ def _resolve_cap(args) -> int:
 
 
 def _exact(n: int) -> str:
-    """Decimal digits of n >= 0.  str(n) refuses ints past
-    sys.get_int_max_str_digits() (4300 digits by default), so convert 1000
-    digits at a time instead of raising that process-wide limit."""
-    chunk = 10**1000
-    parts = []
-    while n >= chunk:
-        n, r = divmod(n, chunk)
-        parts.append(f"{r:01000d}")
-    return str(n) + "".join(reversed(parts))
+    """Decimal digits of n >= 0.
+
+    str(n) refuses ints past sys.get_int_max_str_digits() (4300 digits by
+    default) and takes time quadratic in the digit count.  Past 1000 digits
+    the value is rebuilt in the decimal module instead, leaving that
+    process-wide limit alone: n splits at a power-of-two bit position k into
+    high * 2**k + low, both halves convert recursively, and the powers 2**k
+    are squared up once.  libmpdec multiplies large operands in subquadratic
+    time and prints a Decimal in linear time.
+    """
+    if n < 10**1000:
+        return str(n)
+    import decimal
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = True  # exact integers only: never round
+    powers = [decimal.Decimal(2)]  # powers[j] = 2**(2**j)
+
+    def convert(m: int) -> decimal.Decimal:
+        if m.bit_length() <= 4096:
+            return decimal.Decimal(m)
+        j = (m.bit_length() - 1).bit_length() - 1  # 2**j < bits <= 2**(j + 1)
+        while len(powers) <= j:
+            powers.append(ctx.multiply(powers[-1], powers[-1]))
+        k = 1 << j
+        return ctx.add(ctx.multiply(convert(m >> k), powers[j]), convert(m & ((1 << k) - 1)))
+
+    return str(convert(n))
 
 
 def cmd_certify(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
     cap = _resolve_cap(args)
-    cert = certify(spec, cap=cap)
+    case_label(spec)  # refuse uncovered parameters before numpy loads
+    from classgen import enumeration
+
+    cert = enumeration.certify(spec, cap=cap)
     res = cert.closure
     print(f"family:     {spec.family.value}")
     print(f"degree:     {spec.degree}")
@@ -215,9 +242,9 @@ def cmd_certify(args) -> int:
     print(f"rounds:     {res.frontier_rounds}")
     print(f"truncated:  {'yes (cap ' + str(cap) + ')' if res.truncated else 'no'}")
     print(f"verdict:    {cert.verdict.value}")
-    if cert.verdict is Verdict.PASS:
+    if cert.verdict is enumeration.Verdict.PASS:
         return 0
-    if cert.verdict is Verdict.INDETERMINATE:
+    if cert.verdict is enumeration.Verdict.INDETERMINATE:
         return 4
     return 1
 

@@ -26,22 +26,14 @@ INDETERMINATE means the cap truncated the search.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from classgen.families import (
-    Family,
-    GroupSpec,
-    case_label,
-    field_for,
-    generator_pair,
-    is_member,
-)
+from classgen.families import field_for, generator_pair, is_member
 from classgen.matrix import Mat
+from classgen.spec import DEFAULT_CAP, GroupSpec, case_label, theoretical_order
 
-DEFAULT_CAP = 2_000_000
 ROW_CODE_LIMIT = 2**20
 
 
@@ -65,25 +57,6 @@ class Certificate:
     expected_order: int
     closure: ClosureResult
     verdict: Verdict
-
-
-def theoretical_order(spec: GroupSpec) -> int:
-    """Exact order of the group named by spec, as a Python integer."""
-    case_label(spec)  # reject uncovered parameters the same way the builders do
-    fam, deg, q = spec.family, spec.degree, spec.q
-    if fam is Family.GL:
-        return math.prod(q**deg - q**i for i in range(deg))
-    if fam is Family.SL:
-        return math.prod(q**deg - q**i for i in range(deg)) // (q - 1)
-    if fam is Family.SP:
-        n = deg // 2
-        return q**(n * n) * math.prod(q**(2 * i) - 1 for i in range(1, n + 1))
-    gu = q**(deg * (deg - 1) // 2) * math.prod(q**i - (-1)**i for i in range(1, deg + 1))
-    if fam is Family.GU:
-        return gu
-    if fam is Family.SU:
-        return gu // (q + 1)
-    raise AssertionError(f"unhandled family {fam}")
 
 
 def _check_row_code_limit(q: int, n: int) -> None:

@@ -29,7 +29,6 @@ power are unsupported.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from classgen.atoms import (
@@ -55,62 +54,19 @@ from classgen.forms import (
     special_scalar_beta,
     special_scalar_eta,
 )
-from classgen.gf import FieldCtx, _prime_factors, field_create
+from classgen.gf import FieldCtx, field_create
 from classgen.matrix import Mat
-
-
-MAX_Q = 2**40
-
-
-class UnsupportedParametersError(ValueError):
-    """Raised for parameters outside the covered cases."""
-
-
-class Family(enum.Enum):
-    GL = "gl"
-    SL = "sl"
-    SP = "sp"
-    GU = "gu"
-    SU = "su"
-
-
-_LONG_NAMES = {
-    "general linear": Family.GL,
-    "special linear": Family.SL,
-    "symplectic": Family.SP,
-    "general unitary": Family.GU,
-    "special unitary": Family.SU,
-}
-
-
-def parse_family(name: str) -> Family:
-    """Accepts short names (gl, sl, sp, gu, su) and long names, case-insensitive;
-    long names may use spaces or underscores."""
-    key = name.strip().lower().replace("_", " ")
-    for fam in Family:
-        if key == fam.value:
-            return fam
-    if key in _LONG_NAMES:
-        return _LONG_NAMES[key]
-    raise ValueError(f"unknown family {name!r}; use gl, sl, sp, gu, su or the long names")
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    family: Family
-    degree: int
-    q: int
-
-    def __post_init__(self):
-        if not isinstance(self.family, Family):
-            raise ValueError("family must be a Family value")
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        if int(self.q) != self.q or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q}")
-        if self.q > MAX_Q:
-            # Factoring q by trial division takes about 0.1 s at this bound.
-            raise ValueError(f"q = {self.q} exceeds the limit 2**40")
+# The parameter types live in the numpy-free spec module; importing them here
+# keeps classgen.families.GroupSpec and the other old import paths working.
+from classgen.spec import (
+    MAX_Q,
+    Family,
+    GroupSpec,
+    UnsupportedParametersError,
+    _prime_power,
+    case_label,
+    parse_family,
+)
 
 
 @dataclass(frozen=True)
@@ -120,60 +76,6 @@ class GeneratorPair:
     spec: GroupSpec
     ctx: FieldCtx
     case_label: str
-
-
-def _prime_power(q: int) -> tuple[int, int] | None:
-    factors = _prime_factors(q)
-    if len(factors) != 1:
-        return None
-    p, k = factors[0], 0
-    while q > 1:
-        q //= p
-        k += 1
-    return p, k
-
-
-def case_label(spec: GroupSpec) -> str:
-    """The dispatch label for a spec; raises UnsupportedParametersError off the map."""
-    fam, deg, q = spec.family, spec.degree, spec.q
-    if _prime_power(q) is None:
-        raise UnsupportedParametersError(
-            f"q = {q} is not a prime power; the nearest covered q are prime powers")
-    if deg < 2:
-        raise UnsupportedParametersError(
-            f"degree {deg} is not covered; the smallest covered degree is 2 "
-            f"(3 for the unitary families)")
-    if fam is Family.GL:
-        return "GL(n,2) = SL(n,2)" if q == 2 else "GL, q > 2"
-    if fam is Family.SL:
-        return "SL, q in {2,3}" if q <= 3 else "SL, q > 3"
-    if fam is Family.SP:
-        if deg % 2:
-            raise UnsupportedParametersError(
-                f"Sp needs an even degree; degree {deg} is not covered "
-                f"(nearest: Sp({deg - 1},{q}) or Sp({deg + 1},{q}))")
-        if deg == 2:
-            return "Sp(2,q) = SL(2,q)"
-        n = deg // 2
-        if q % 2:
-            return "Sp, q odd, n > 1"
-        if q == 2:
-            return "Sp(4,2)" if n == 2 else "Sp(2n,2), n > 2"
-        return "Sp, q even, q != 2, n > 1"
-    if fam in (Family.GU, Family.SU):
-        u = "U" if fam is Family.GU else "SU"
-        if deg == 2:
-            raise UnsupportedParametersError(
-                f"{u}(2,q) has no covered pair; the nearest covered cases are "
-                f"{u}(3,q) and {u}(4,q)")
-        if deg % 2 == 0:
-            return f"{u}(2n,q), n > 1"
-        if fam is Family.SU:
-            if deg == 3 and q == 2:
-                return "SU(3,2)"
-            return "SU(2n+1,q), n != 1 or q != 2"
-        return "U(2n+1,q)"
-    raise AssertionError(f"unhandled family {fam}")
 
 
 def field_for(spec: GroupSpec) -> FieldCtx:

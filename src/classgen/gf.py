@@ -22,22 +22,9 @@ import math
 
 import numpy as np
 
+from classgen.spec import _prime_factors
+
 DEFAULT_FIELD_CAP = 2**20
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _is_prime(n: int) -> bool:

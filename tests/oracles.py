@@ -2,15 +2,18 @@
 
 These deliberately avoid the code paths they check: multiplicative order by
 repeated multiplication, determinants by cofactor expansion, counting group
-elements by exhaustive filtering, and the breadth-first closure by Mat
-products in a Python set instead of row tables and sorted packed keys.
+elements by exhaustive filtering, the breadth-first closure by Mat
+products in a Python set instead of row tables and sorted packed keys, group
+orders by multiplying the unfactored terms left to right, and decimal
+digits by dividing off 1000 digits at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from classgen import FieldElem, Mat
+from classgen import Family, FieldElem, GroupSpec, Mat
 
 
 def brute_order(a: FieldElem) -> int:
@@ -97,3 +100,29 @@ def set_closure(gens, cap):
             elements += fresh
         frontier = fresh
     return (len(seen), truncated, rounds), elements
+
+
+def term_by_term_order(spec: GroupSpec) -> int:
+    """Group order from the unfactored terms q**n - q**i, multiplied left to
+    right (quadratic in the digit count; keep the degrees small)."""
+    fam, deg, q = spec.family, spec.degree, spec.q
+    if fam is Family.GL:
+        return math.prod(q**deg - q**i for i in range(deg))
+    if fam is Family.SL:
+        return math.prod(q**deg - q**i for i in range(deg)) // (q - 1)
+    if fam is Family.SP:
+        n = deg // 2
+        return q**(n * n) * math.prod(q**(2 * i) - 1 for i in range(1, n + 1))
+    gu = q**(deg * (deg - 1) // 2) * math.prod(q**i - (-1)**i for i in range(1, deg + 1))
+    return gu if fam is Family.GU else gu // (q + 1)
+
+
+def chunked_decimal(n: int) -> str:
+    """Decimal digits of n >= 0, 1000 at a time by divmod (quadratic), so no
+    str() call meets the int-to-str digit limit."""
+    chunk = 10**1000
+    parts = []
+    while n >= chunk:
+        n, r = divmod(n, chunk)
+        parts.append(f"{r:01000d}")
+    return str(n) + "".join(reversed(parts))

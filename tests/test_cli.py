@@ -1,6 +1,7 @@
 import decimal
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 import classgen.enumeration as enumeration
 from classgen import Family, GroupSpec, cli, generator_pair, theoretical_order
 from classgen.cli import main
+from oracles import chunked_decimal
 
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
@@ -207,6 +209,14 @@ def test_order_beyond_the_int_to_str_limit(capsys, degree, q):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_exact_matches_the_chunked_conversion():
+    rng = random.Random(7)
+    values = [0, 1, 10**999, 10**1000 - 1, 10**1000, 10**1000 + 1, 10**3000 + 7]
+    values += [rng.randrange(10**rng.randrange(1000, 20001)) for _ in range(20)]
+    for n in values:
+        assert cli._exact(n) == chunked_decimal(n)
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -280,7 +290,7 @@ def test_exit_5_for_internal_errors(capsys, monkeypatch):
     def crash(spec, cap):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "certify", crash)
+    monkeypatch.setattr(enumeration, "certify", crash)
     code, out, err = run_main(capsys, ["certify", "--family", "sl", "--degree", "2", "--q", "3"])
     assert code == 5
     assert err == "classgen: internal error: RuntimeError: boom\n"

@@ -15,6 +15,7 @@ from classgen import (
     Mat,
     UnsupportedParametersError,
     Verdict,
+    case_label,
     certify,
     closure,
     field_create,
@@ -25,7 +26,7 @@ from classgen import (
     theoretical_order,
 )
 from classgen.enumeration import _decode, _dedup, _pack, _row_codes, _row_table
-from oracles import set_closure
+from oracles import set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
 
 GF3 = field_create(3, 1)
@@ -66,6 +67,21 @@ def test_theoretical_order_is_exact_for_large_parameters():
     value = theoretical_order(GroupSpec(Family.GL, 100, 9))
     assert value % (9 - 1) == 0
     assert value == theoretical_order(GroupSpec(Family.SL, 100, 9)) * 8
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_theoretical_order_matches_the_term_by_term_product(family):
+    checked = 0
+    for degree in range(2, 41):
+        for q in (2, 3, 4, 5, 7, 8, 9, 25, 1024, 1048576):
+            spec = GroupSpec(family, degree, q)
+            try:
+                case_label(spec)
+            except UnsupportedParametersError:
+                continue
+            assert theoretical_order(spec) == term_by_term_order(spec), spec
+            checked += 1
+    assert checked >= 200
 
 
 def test_theoretical_order_rejects_uncovered_parameters():

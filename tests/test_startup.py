@@ -1,0 +1,113 @@
+"""The package imports lazily, and the parameter-only paths of the command
+line (order, --help, exit codes 2 and 3) never load numpy."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import classgen
+
+REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
+PACKAGE = Path(classgen.__file__).parent
+
+# Where each public name could be imported from before the package became lazy.
+OLD_PATHS = {
+    "classgen.atoms": [
+        "DualKind", "cycle_w", "dual_index", "elem_h", "elem_x", "hat_h", "hat_w",
+        "hat_x", "hat_z", "q_block", "tilde_h", "tilde_w", "tilde_x",
+        "transposition_w", "w_prime"],
+    "classgen.enumeration": [
+        "DEFAULT_CAP", "Certificate", "ClosureResult", "Verdict", "certify", "closure",
+        "group_elements", "theoretical_order"],
+    "classgen.families": [
+        "Family", "GeneratorPair", "GroupSpec", "UnsupportedParametersError",
+        "case_label", "field_for", "generator_pair", "is_member", "parse_family"],
+    "classgen.forms": [
+        "FormKind", "GramForm", "form_defect", "gram", "is_special", "preserves",
+        "special_scalar_beta", "special_scalar_eta"],
+    "classgen.gf": [
+        "DEFAULT_FIELD_CAP", "FieldCtx", "FieldElem", "field_create", "field_to_json",
+        "frobenius", "poly_string"],
+    "classgen.matrix": ["Mat"],
+}
+
+
+def test_every_public_name_is_the_object_of_its_defining_module():
+    assert sorted(n for names in OLD_PATHS.values() for n in names) == classgen.__all__
+    for module, names in OLD_PATHS.items():
+        for name in names:
+            value = getattr(classgen, name)
+            assert getattr(importlib.import_module(module), name) is value, name
+            home = getattr(value, "__module__", None)
+            if isinstance(home, str) and home.startswith("classgen."):
+                assert getattr(sys.modules[home], name) is value, name
+    assert set(classgen.__all__) <= set(dir(classgen))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from classgen import *", namespace)
+    assert set(classgen.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(classgen, "no_such_name")
+
+
+NUMPY_FREE = {
+    "import classgen": None,
+    "order": (["order", "--family", "sp", "--degree", "4", "--q", "3"], 0),
+    "exit 2": (["order", "--family", "sp", "--degree", "3", "--q", "3"], 2),
+    "exit 3": (["order", "--family", "gl", "--degree", "0", "--q", str(2**40 + 1)], 3),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMPY_FREE))
+def test_numpy_is_not_imported(case):
+    if NUMPY_FREE[case] is None:
+        script = "import sys\nimport classgen\ncode = 0\n"
+        want = 0
+    else:
+        argv, want = NUMPY_FREE[case]
+        script = ("import sys\nfrom classgen.cli import main\n"
+                  f"try:\n    code = main({argv!r})\n"
+                  "except SystemExit as exc:\n    code = exc.code\n")
+    script += "print(code, 'numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=REPO_ENV, timeout=30)
+    assert proc.stdout.splitlines()[-1] == f"{want} False", proc.stderr
+
+
+def _import_time_imports(path: Path):
+    """Modules named by the import statements that run when path is imported:
+    everything outside function bodies."""
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("classgen." * bool(node.level) + (node.module or "")).rstrip(".")
+            yield module
+            if module == "classgen":
+                yield from (f"classgen.{alias.name}" for alias in node.names)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module,allowed", [("spec", set()), ("cli", {"classgen.spec"})])
+def test_spec_and_cli_import_no_matrix_module_at_import_time(module, allowed):
+    # `from classgen import X` counts as classgen itself, which may load any
+    # submodule; only the numpy-free spec module may be imported by name.
+    imported = set(_import_time_imports(PACKAGE / f"{module}.py"))
+    assert {m for m in imported if m.split(".")[0] == "classgen"} <= allowed
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
