@@ -21,6 +21,7 @@ from classgen.spec import (
     GroupSpec,
     UnsupportedParametersError,
     case_label,
+    check_closure_limit,
     parse_family,
     theoretical_order,
 )
@@ -228,7 +229,7 @@ def _exact(n: int) -> str:
 def cmd_certify(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
     cap = _resolve_cap(args)
-    case_label(spec)  # refuse uncovered parameters before numpy loads
+    check_closure_limit(spec)  # refuse uncovered parameters and sizes before numpy loads
     from classgen import enumeration
 
     cert = enumeration.certify(spec, cap=cap)

@@ -5,18 +5,18 @@ the frontier by each generator.  A matrix is held as its n row codes: the
 row with entry codes (c_0, ..., c_{n-1}) has code c_0 + c_1*q + ... +
 c_{n-1}*q**(n-1) in [0, q**n).  Row i of M*g is (row i of M)*g, so each
 generator g gets a table T_g of length q**n mapping v to v*g, and the
-product of a whole frontier is the single gather T_g[frontier], built
-from the field's structure constants like every Mat product.  The key of a
-matrix packs its n row codes, b = (q**n - 1).bit_length() bits each, into
-w = ceil(n*b/64) uint64 words; w is 1 for every degree n <= 3.  The visited
-set is one array of these keys in sorted order: each generator's products
-are deduplicated with one sort and looked up with one binary search, and
-the new keys are merged in before the cap check.  Only keys are stored
-beyond the frontier, so memory is 8*w bytes per element.  The search stops
-when the frontier empties (exact count) or the visited set grows past the
-cap (truncated).  The result depends only on the generator set, not on
-ordering or duplicates.  The tables limit closure to q**n <= 2**20
-(ROW_CODE_LIMIT), checked before any work.
+product of a whole frontier is the single gather T_g[frontier].  A
+matrix's key packs its row codes, b = (q**n - 1).bit_length() bits each,
+into w = ceil(n*b/64) 64-bit words and is one scalar: a uint64 when w = 1
+(every degree n <= 3), otherwise 8*w raw bytes, sorted bytewise.  The
+visited set is one sorted 1-D array of keys.  Each generator's products are
+deduplicated with one sort, looked up with one binary search and merged in
+with one insert, a single copy of the visited array, before the cap check.
+Only keys are stored beyond the frontier: 8*w bytes per element.  The
+search stops when the frontier empties (exact count) or the visited set
+grows past the cap (truncated).  The result depends only on the generator
+set, not on ordering or duplicates.  The tables limit closure to
+q**n <= 2**20 (ROW_CODE_LIMIT), checked before any work.
 
 certify() combines the membership predicates, the exact theoretical order
 and the closure count into a PASS / FAIL / INDETERMINATE verdict, where
@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from classgen.families import field_for, generator_pair, is_member
+from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
-from classgen.spec import DEFAULT_CAP, GroupSpec, case_label, theoretical_order
-
-ROW_CODE_LIMIT = 2**20
+# ROW_CODE_LIMIT is imported to keep its old path classgen.enumeration.ROW_CODE_LIMIT.
+from classgen.spec import (DEFAULT_CAP, ROW_CODE_LIMIT, GroupSpec,
+                           check_closure_limit, check_row_code_limit, theoretical_order)
 
 
 class Verdict(enum.Enum):
@@ -59,24 +59,16 @@ class Certificate:
     verdict: Verdict
 
 
-def _check_row_code_limit(q: int, n: int) -> None:
-    # q >= 2, so any n > 20 exceeds the limit; the min keeps q**n small.
-    if q**min(n, 21) > ROW_CODE_LIMIT:
-        raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
-                         f"GF({q}) at degree {n} exceeds it")
-
-
 def _prepare(gens: list[Mat], cap: int):
     if not gens:
         raise ValueError("need at least one generator")
     if int(cap) != cap or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap}")
-    ctx = gens[0].ctx
-    n = gens[0].n
+    ctx, n = gens[0].ctx, gens[0].n
     for g in gens:
         if g.ctx != ctx or g.n != n:
             raise ValueError("generators must share one field and one degree")
-    _check_row_code_limit(ctx.q, n)
+    check_row_code_limit(ctx.q, n)
     for g in gens:
         if not g.det():
             raise ValueError("generators must be invertible")
@@ -117,73 +109,40 @@ def _decode(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
-    """(w, m) keys of (m, n) row codes, one column per matrix.
+    """The 1-D array of keys of (m, n) row codes, one key per matrix.
 
     Row i fills bits [i*bits, (i+1)*bits) of a little-endian string of
-    w = ceil(n*bits/64) words.  Word 0 is then folded with each other word,
-    x -> (x ^ x >> 32) * C ^ word for an odd C.  Given the other words each
-    step is invertible, so keys stay exact.  Word 0 then depends on every
-    row, not only on the first few, which thousands of matrices can share
-    (GL(20,2) at cap 200 000), so distinct keys almost never tie on it.
+    w = ceil(n*bits/64) uint64 words.  A one-word key is that uint64; a wider
+    key is the string as one raw-bytes value of 8*w bytes, which numpy sorts
+    and compares bytewise: an exact total order, though not the numeric one.
     """
     m, n = rows.shape
-    keys = np.zeros((-(-n * bits // 64), m), dtype=np.uint64)
+    words = -(-n * bits // 64)
+    keys = np.zeros((m, words), dtype=np.uint64)
     for i in range(n):
         row = rows[:, i].astype(np.uint64)
         word, shift = divmod(i * bits, 64)
-        keys[word] |= row << np.uint64(shift)
+        keys[:, word] |= row << np.uint64(shift)
         if shift + bits > 64:
-            keys[word + 1] |= row >> np.uint64(64 - shift)
-    for word in keys[1:]:
-        keys[0] = (keys[0] ^ keys[0] >> np.uint64(32)) * np.uint64(0x9E3779B97F4A7C15) ^ word
-    return keys
+            keys[:, word + 1] |= row >> np.uint64(64 - shift)
+    return keys[:, 0] if words == 1 else keys.view(np.dtype((np.void, 8 * words)))[:, 0]
 
 
-def _dedup(visited: list[np.ndarray], keys: np.ndarray):
+def _dedup(visited: np.ndarray, keys: np.ndarray):
     """Merge keys into visited; return it and the indices of the new keys.
 
-    visited is w arrays of V words, one per key word, holding V unique keys
-    sorted lexicographically with word 0 first.  The returned indices are
-    those of the first occurrence of each key of the (w, m) keys that is not
-    in visited, in increasing order.  Keys are sorted on word 0 by numpy's
-    fastest, unstable argsort, so a first occurrence is the least index of
-    its run; only when word 0 ties between different keys does np.lexsort
-    sort on every word.  Lookups search word 0 and bisect its ties on the
-    other words.
+    visited holds unique keys in sorted order.  The returned indices are those
+    of the first occurrence of each key that is not in visited, in increasing
+    order.  Keys are sorted by numpy's fastest, unstable argsort, so a first
+    occurrence is the least index of its run of equal keys.
     """
-    order = np.argsort(keys[0])
-    keys = keys[:, order]
-    same = keys[:, 1:] == keys[:, :-1]
-    if len(keys) > 1 and not same.all(axis=0)[same[0]].all():
-        resort = np.lexsort(keys[::-1])
-        order, keys = order[resort], keys[:, resort]
-        same = keys[:, 1:] == keys[:, :-1]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = ~same.all(axis=0)
-    starts = np.flatnonzero(head)
-    uniq, first = keys[:, starts], np.minimum.reduceat(order, starts)
-    pos = np.searchsorted(visited[0], uniq[0])
-    if len(keys) == 1:
-        new = np.take(visited[0], pos, mode="clip") != uniq[0]
-    else:
-        end = np.searchsorted(visited[0], uniq[0], "right")
-        new = np.ones(len(pos), dtype=bool)
-        live = np.flatnonzero(pos < end)
-        while live.size:
-            lo, hi = pos[live], end[live]
-            mid = (lo + hi) // 2
-            less = np.zeros(len(live), dtype=bool)
-            equal = np.ones(len(live), dtype=bool)
-            for words, b in zip(visited[1:], uniq[1:, live]):
-                a = words[mid]
-                less |= equal & (a < b)
-                equal &= a == b
-            new[live[equal]] = False
-            pos[live] = np.where(less, mid + 1, np.where(equal, mid, lo))
-            end[live] = np.where(less, hi, mid)
-            live = live[pos[live] < end[live]]
-    visited = [np.insert(words, pos[new], u) for words, u in zip(visited, uniq[:, new])]
-    return visited, np.sort(first[new])
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    uniq, first = keys[starts], np.minimum.reduceat(order, starts)
+    pos = np.searchsorted(visited, uniq)
+    new = np.take(visited, pos, mode="clip") != uniq
+    return np.insert(visited, pos[new], uniq[new]), np.sort(first[new])
 
 
 def _closure_impl(gens: list[Mat], cap: int, collect: bool):
@@ -191,29 +150,25 @@ def _closure_impl(gens: list[Mat], cap: int, collect: bool):
     tables = [_row_table(g) for g in gens]
     bits = (ctx.q**n - 1).bit_length()
     frontier = _row_codes(Mat.identity(ctx, n).codes, ctx.q).astype(tables[0].dtype)[None]
-    visited = list(_pack(frontier, bits))
+    visited = _pack(frontier, bits)
     found = [frontier] if collect else None
 
-    rounds = 0
-    truncated = False
+    rounds, truncated = 0, False
     while frontier.shape[0] and not truncated:
-        fresh_arrays = []
+        fresh = []
         for table in tables:
             prod = table[frontier]
             visited, first = _dedup(visited, _pack(prod, bits))
-            if first.size:
-                fresh_arrays.append(prod[first])
-            if len(visited[0]) > cap:
+            fresh.append(prod[first])
+            if len(visited) > cap:
                 truncated = True
                 break
-        if fresh_arrays:
+        frontier = np.concatenate(fresh)
+        if frontier.shape[0]:
             rounds += 1
-            frontier = np.concatenate(fresh_arrays)
             if collect:
                 found.append(frontier)
-        else:
-            frontier = frontier[:0]
-    return ClosureResult(len(visited[0]), truncated, rounds), found
+    return ClosureResult(len(visited), truncated, rounds), found
 
 
 def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
@@ -240,18 +195,14 @@ def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
     Uncovered parameters (UnsupportedParametersError) and the closure size
     limit (ValueError) are refused before any generator is built.
     """
-    case_label(spec)
-    _check_row_code_limit(field_for(spec).q, spec.degree)
+    check_closure_limit(spec)
     pair = generator_pair(spec)
-    membership_ok = (bool(pair.a.det()) and bool(pair.b.det())
-                     and is_member(spec, pair.a) and is_member(spec, pair.b))
+    membership_ok = is_member(spec, pair.a) and is_member(spec, pair.b)
     expected = theoretical_order(spec)
     result = closure([pair.a, pair.b], cap=cap)
-    if not membership_ok:
-        verdict = Verdict.FAIL
-    elif result.truncated:
+    if membership_ok and result.truncated:
         verdict = Verdict.INDETERMINATE
-    elif result.size == expected:
+    elif membership_ok and result.size == expected:
         verdict = Verdict.PASS
     else:
         verdict = Verdict.FAIL

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 MAX_Q = 2**40
 DEFAULT_CAP = 2_000_000
+ROW_CODE_LIMIT = 2**20
 
 
 class UnsupportedParametersError(ValueError):
@@ -137,6 +138,22 @@ def case_label(spec: GroupSpec) -> str:
             return "SU(2n+1,q), n != 1 or q != 2"
         return "U(2n+1,q)"
     raise AssertionError(f"unhandled family {fam}")
+
+
+def check_row_code_limit(q: int, n: int) -> None:
+    """Refuse a closure over GF(q) at degree n: its row tables need q**n <= 2**20."""
+    # q >= 2, so any n > 20 exceeds the limit; the min keeps q**n small.
+    if q**min(n, 21) > ROW_CODE_LIMIT:
+        raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
+                         f"GF({q}) at degree {n} exceeds it")
+
+
+def check_closure_limit(spec: GroupSpec) -> None:
+    """Refuse uncovered parameters (UnsupportedParametersError), then a closure
+    past the row-code limit over the field of spec: GF(q), or GF(q**2) for gu/su."""
+    case_label(spec)
+    unitary = spec.family in (Family.GU, Family.SU)
+    check_row_code_limit(spec.q**2 if unitary else spec.q, spec.degree)
 
 
 def _product(factors: list[int]) -> int:

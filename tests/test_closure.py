@@ -234,13 +234,17 @@ def test_row_table_products_match_mat_mul():
             assert Mat(ctx, prod) == m * gen
 
 
-@pytest.mark.parametrize("family,degree,q,expected", [
-    (Family.GL, 8, 4, (14, True, 3)),    # an 8 x 16-bit key, wider than 64 bits
-    (Family.GL, 20, 2, (11, True, 3)),   # q**n = 2**20, the largest allowed
+@pytest.mark.parametrize("family,degree,q,cap,expected", [
+    (Family.GL, 8, 4, 10, (14, True, 3)),    # an 8 x 16-bit key, wider than 64 bits
+    (Family.GL, 20, 2, 10, (11, True, 3)),   # q**n = 2**20, the largest allowed
+    # many wide keys sharing their leading bytes
+    (Family.GL, 8, 4, 200_000, (200066, True, 19)),
+    (Family.GL, 20, 2, 200_000, (242380, True, 24)),
+    (Family.SU, 6, 2, 200_000, (261043, True, 19)),
 ])
-def test_truncated_closures_are_pinned(family, degree, q, expected):
+def test_truncated_closures_are_pinned(family, degree, q, cap, expected):
     pair = generator_pair(GroupSpec(family, degree, q))
-    result = closure([pair.a, pair.b], cap=10)
+    result = closure([pair.a, pair.b], cap=cap)
     assert (result.size, result.truncated, result.frontier_rounds) == expected
 
 
@@ -332,22 +336,37 @@ def test_pack_keeps_matrices_differing_in_one_bit_apart(n, bits, words):
         rows.append(flipped)
     rows = np.concatenate(rows)
     keys = _pack(rows, bits)
-    assert keys.shape == (words, len(rows))
-    assert len(set(zip(*keys.tolist()))) == len(set(map(tuple, rows.tolist())))
+    assert keys.shape == (len(rows),)
+    assert keys.dtype == (np.uint64 if words == 1 else np.dtype((np.void, 8 * words)))
+    assert len(set(keys.tolist())) == len(set(map(tuple, rows.tolist())))
+    # row i fills bits [i*bits, (i+1)*bits) of w little-endian 64-bit words
+    packed = [sum(code << (i * bits) for i, code in enumerate(row)) for row in rows.tolist()]
+    want = [[value >> (64 * word) & (2**64 - 1) for word in range(words)] for value in packed]
+    assert np.frombuffer(keys.tobytes(), dtype=np.uint64).reshape(-1, words).tolist() == want
 
 
 def test_dedup_returns_first_occurrences_of_one_word_keys():
     # enough repeats that an unstable argsort reorders equal keys
     keys = np.random.default_rng(5).integers(0, 3000, size=20000, dtype=np.uint64)
     seen = set(range(0, 3000, 3))
-    merged, first = _dedup([np.array(sorted(seen), dtype=np.uint64)], keys[None])
+    merged, first = _dedup(np.array(sorted(seen), dtype=np.uint64), keys)
     want = []
     for index, key in enumerate(keys.tolist()):
         if key not in seen:
             seen.add(key)
             want.append(index)
     assert first.tolist() == want
-    assert merged[0].tolist() == sorted(seen)
+    assert merged.tolist() == sorted(seen)
+
+
+def _wide(words: list[tuple]) -> np.ndarray:
+    """Three-word keys as _pack makes them: one raw-bytes value per key."""
+    return np.array(words, dtype=np.uint64).view(np.dtype((np.void, 24)))[:, 0]
+
+
+def _visited(words: list[tuple]) -> np.ndarray:
+    """The sorted visited array of three-word keys; raw bytes sort bytewise."""
+    return np.array(sorted(_wide(words).tolist()), dtype=np.dtype((np.void, 24)))
 
 
 def test_dedup_compares_every_word_of_wide_keys():
@@ -364,12 +383,19 @@ def test_dedup_compares_every_word_of_wide_keys():
         (5, 0, 0),    # visited, first of its tie
         (9, 0, 0),    # new: after every visited key
     ]
-    old.sort()
-    visited = [np.array(words, dtype=np.uint64) for words in zip(*old)]
-    keys = np.array(batch, dtype=np.uint64).T
-    merged, first = _dedup(visited, keys)
+    merged, first = _dedup(_visited(old), _wide(batch))
     assert first.tolist() == [0, 3, 5, 6, 9]
-    assert list(zip(*(words.tolist() for words in merged))) == sorted(set(old) | set(batch))
+    assert merged.tolist() == sorted(set(_wide(old + batch).tolist()))
+
+
+def test_dedup_merges_wide_keys_sharing_an_insertion_position():
+    old = [(1, 0, 0), (9, 0, 0)]
+    batch = [(5, 2, 7), (5, 0, 0), (3, 0, 0), (5, 0, 0), (5, 1, 0), (5, 0, 1)]
+    merged, first = _dedup(_visited(old), _wide(batch))
+    assert first.tolist() == [0, 1, 2, 4, 5]
+    got = merged.tolist()
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert set(got) == set(_wide(old + batch).tolist())
 
 
 def test_no_package_attribute_shadows_a_submodule():

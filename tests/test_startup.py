@@ -65,6 +65,7 @@ NUMPY_FREE = {
     "order": (["order", "--family", "sp", "--degree", "4", "--q", "3"], 0),
     "exit 2": (["order", "--family", "sp", "--degree", "3", "--q", "3"], 2),
     "exit 3": (["order", "--family", "gl", "--degree", "0", "--q", str(2**40 + 1)], 3),
+    "closure limit": (["certify", "--family", "gl", "--degree", "27", "--q", "1048576"], 3),
     "help": (["--help"], 0),
 }
 
