@@ -25,12 +25,12 @@ _EXPORTS = {
         "special_scalar_beta", "special_scalar_eta",
     ),
     "gf": (
-        "DEFAULT_FIELD_CAP", "FieldCtx", "FieldElem", "field_create", "field_to_json",
-        "frobenius", "poly_string",
+        "FieldCtx", "FieldElem", "field_create", "field_to_json", "frobenius",
+        "poly_string",
     ),
     "matrix": ("Mat",),
     "spec": (
-        "DEFAULT_CAP", "Family", "GroupSpec", "UnsupportedParametersError",
+        "DEFAULT_CAP", "DEFAULT_FIELD_CAP", "Family", "GroupSpec", "UnsupportedParametersError",
         "case_label", "parse_family", "theoretical_order",
     ),
 }

@@ -13,20 +13,17 @@ the closure), 5 internal error (a bug; never a verdict).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from classgen.spec import (
     DEFAULT_CAP,
     GroupSpec,
     UnsupportedParametersError,
-    case_label,
     check_closure_limit,
+    check_field_limit,
     parse_family,
     theoretical_order,
 )
-
-CAP_ENV = "CLASSGEN_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,52 +38,29 @@ def _rows_payload(m) -> list:
     return [[list(e.coeffs) for e in row] for row in m.rows()]
 
 
-def _is_leaf_list(node) -> bool:
-    """A coefficient vector or a single matrix row: keep these on one line."""
-    if not isinstance(node, list) or not node:
-        return False
-    if all(isinstance(x, int) for x in node):
-        return True
-    return all(
-        isinstance(x, list) and x and all(isinstance(y, int) for y in x)
-        for x in node
-    )
-
-
-def _dumps(payload) -> str:
-    """json.dumps(indent=2), but coefficient vectors and matrix rows stay
-    on single lines so the output is readable for humans as well as parsers."""
+def _dumps(node, indent: str = "") -> str:
+    """json.dumps(indent=2), but coefficient vectors and matrix rows (non-empty
+    lists of ints or of non-empty int lists) stay on one line, so the output
+    reads well for humans as well as parsers."""
     import json
 
-    compact: dict[str, str] = {}
+    def ints(xs) -> bool:
+        return all(isinstance(x, int) for x in xs)
 
-    def mark(node):
-        if _is_leaf_list(node):
-            token = f"@@compact:{len(compact)}@@"
-            compact[token] = json.dumps(node, separators=(", ", ": "))
-            return token
-        if isinstance(node, list):
-            return [mark(x) for x in node]
-        if isinstance(node, dict):
-            return {key: mark(value) for key, value in node.items()}
-        return node
-
-    text = json.dumps(mark(payload), indent=2)
-    for token, body in compact.items():
-        text = text.replace(json.dumps(token), body)
-    return text
-
-
-def _form_for(spec: GroupSpec, ctx) -> tuple | None:
-    """(form kind, Gram matrix) of the form sp/gu/su preserve; None for gl/sl."""
-    from classgen.forms import FormKind, gram
-
-    kind = {"sp": FormKind.SYMPLECTIC, "gu": FormKind.UNITARY,
-            "su": FormKind.UNITARY}.get(spec.family.value)
-    if kind is None:
-        return None
-    form = gram(ctx, kind, spec.degree)
-    return kind, form.j
+    inner = indent + "  "
+    if isinstance(node, dict):
+        items = [f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in node.items()]
+        brackets = "{}"
+    elif not isinstance(node, list):
+        return json.dumps(node)
+    elif node and (ints(node) or all(isinstance(x, list) and x and ints(x) for x in node)):
+        return json.dumps(node, separators=(", ", ": "))
+    else:
+        items, brackets = [_dumps(x, inner) for x in node], "[]"
+    if not items:
+        return brackets
+    body = ",\n".join(inner + item for item in items)
+    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
 
 
 def _text_rows(m) -> list[str]:
@@ -95,12 +69,14 @@ def _text_rows(m) -> list[str]:
 
 def cmd_gens(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
-    case_label(spec)  # refuse uncovered parameters before numpy loads
-    from classgen.families import generator_pair
+    check_field_limit(spec)  # refuse uncovered parameters and sizes before numpy loads
+    from classgen.families import form_for, generator_pair
     from classgen.gf import field_to_json, poly_string
 
     pair = generator_pair(spec)
     ctx = pair.ctx
+    form = form_for(spec, ctx) if args.emit_form else None
+    form_name = "none" if form is None else form.kind.value
 
     if args.format == "json":
         payload = {
@@ -115,15 +91,10 @@ def cmd_gens(args) -> int:
             ],
         }
         if args.emit_form:
-            info = _form_for(spec, ctx)
-            payload["form"] = None if info is None else {
-                "kind": info[0].value,
-                "rows": _rows_payload(info[1]),
-            }
-        print(_dumps(payload))
-        return 0
-
-    if args.format == "text":
+            payload["form"] = None if form is None else {
+                "kind": form_name, "rows": _rows_payload(form.j)}
+        lines = [_dumps(payload)]
+    elif args.format == "text":
         lines = [
             f"family: {spec.family.value}",
             f"degree: {spec.degree}",
@@ -137,62 +108,33 @@ def cmd_gens(args) -> int:
             *_text_rows(pair.b),
         ]
         if args.emit_form:
-            info = _form_for(spec, ctx)
-            if info is None:
-                lines.append("form: none")
-            else:
-                lines.append(f"form: {info[0].value}")
-                lines.extend(_text_rows(info[1]))
-        print("\n".join(lines))
-        return 0
+            lines.append(f"form: {form_name}")
+        if form is not None:
+            lines += _text_rows(form.j)
+    else:  # gap: entries as powers of xi, the xi mapping stated up front
+        def gap_row(row) -> str:
+            return "  [ " + ", ".join(
+                f"xi^{ctx.dlog_code(c)}" if c else "0*xi^0" for c in row.tolist()) + " ]"
 
-    # gap format: entries as powers of xi, the xi mapping stated up front
-    def gap_entry(code: int) -> str:
-        return "0*xi^0" if code == 0 else f"xi^{ctx.dlog_code(code)}"
+        def gap_matrix(name: str, m) -> list[str]:
+            return [f"{name} := [", ",\n".join(map(gap_row, m.codes)), "];"]
 
-    def gap_matrix(name: str, m) -> list[str]:
-        body = []
-        for i, row in enumerate(m.codes):
-            sep = "," if i + 1 < m.n else ""
-            body.append("  [ " + ", ".join(gap_entry(int(c)) for c in row) + f" ]{sep}")
-        return [f"{name} := ["] + body + ["];"]
-
-    lines = [
-        f"# family {spec.family.value}, degree {spec.degree}, q {spec.q}, "
-        f"case: {pair.case_label}",
-        f"# field GF({ctx.q}) = GF({ctx.p})[t] / ({poly_string(ctx.modulus)})",
-        f"# xi is the primitive element with coefficients {list(ctx.xi.coeffs)} "
-        f"(constant term first)",
-        "# entries are powers of xi; zero prints as 0*xi^0",
-    ]
-    lines += gap_matrix("a", pair.a)
-    lines += gap_matrix("b", pair.b)
-    if args.emit_form:
-        info = _form_for(spec, ctx)
-        if info is None:
-            lines.append("# form: none")
-        else:
-            lines.append(f"# form: {info[0].value}")
-            lines += gap_matrix("j", info[1])
+        lines = [
+            f"# family {spec.family.value}, degree {spec.degree}, q {spec.q}, "
+            f"case: {pair.case_label}",
+            f"# field GF({ctx.q}) = GF({ctx.p})[t] / ({poly_string(ctx.modulus)})",
+            f"# xi is the primitive element with coefficients {list(ctx.xi.coeffs)} "
+            f"(constant term first)",
+            "# entries are powers of xi; zero prints as 0*xi^0",
+            *gap_matrix("a", pair.a),
+            *gap_matrix("b", pair.b),
+        ]
+        if args.emit_form:
+            lines.append(f"# form: {form_name}")
+        if form is not None:
+            lines += gap_matrix("j", form.j)
     print("\n".join(lines))
     return 0
-
-
-def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        cap = args.cap
-    else:
-        raw = os.environ.get(CAP_ENV)
-        if raw is None:
-            cap = DEFAULT_CAP
-        else:
-            try:
-                cap = int(raw)
-            except ValueError:
-                raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    return cap
 
 
 def _exact(n: int) -> str:
@@ -228,11 +170,12 @@ def _exact(n: int) -> str:
 
 def cmd_certify(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
-    cap = _resolve_cap(args)
+    if args.cap < 1:
+        raise ValueError(f"cap must be at least 1, got {args.cap}")
     check_closure_limit(spec)  # refuse uncovered parameters and sizes before numpy loads
     from classgen import enumeration
 
-    cert = enumeration.certify(spec, cap=cap)
+    cert = enumeration.certify(spec, cap=args.cap)
     res = cert.closure
     print(f"family:     {spec.family.value}")
     print(f"degree:     {spec.degree}")
@@ -241,7 +184,7 @@ def cmd_certify(args) -> int:
     print(f"expected:   {_exact(cert.expected_order)}")
     print(f"size:       {res.size}")
     print(f"rounds:     {res.frontier_rounds}")
-    print(f"truncated:  {'yes (cap ' + str(cap) + ')' if res.truncated else 'no'}")
+    print(f"truncated:  {'yes (cap ' + str(args.cap) + ')' if res.truncated else 'no'}")
     print(f"verdict:    {cert.verdict.value}")
     if cert.verdict is enumeration.Verdict.PASS:
         return 0
@@ -278,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="closure-certify the pair")
     _add_common(p_cert)
-    p_cert.add_argument("--cap", type=int, default=None,
-                        help=f"closure size cap (default {CAP_ENV} or {DEFAULT_CAP})")
+    p_cert.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help=f"stop the closure after this many elements and report "
+                             f"INDETERMINATE (default {DEFAULT_CAP})")
     p_cert.set_defaults(func=cmd_certify)
 
     p_order = sub.add_parser("order", help="print the theoretical group order")

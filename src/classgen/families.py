@@ -48,6 +48,7 @@ from classgen.atoms import (
 )
 from classgen.forms import (
     FormKind,
+    GramForm,
     gram,
     is_special,
     preserves,
@@ -160,20 +161,23 @@ def _unitary_odd_b(ctx: FieldCtx, deg: int, q: int) -> Mat:
     return q_block(ctx, 1, beta, deg) * w_prime(ctx, n)
 
 
+_FORM_KIND = {Family.SP: FormKind.SYMPLECTIC, Family.GU: FormKind.UNITARY,
+              Family.SU: FormKind.UNITARY}
+
+
+def form_for(spec: GroupSpec, ctx: FieldCtx) -> GramForm | None:
+    """The form the groups of spec's family preserve over ctx; None for gl/sl."""
+    kind = _FORM_KIND.get(spec.family)
+    return None if kind is None else gram(ctx, kind, spec.degree)
+
+
 def is_member(spec: GroupSpec, m: Mat) -> bool:
     """The membership predicate of spec's family applied to m."""
-    fam = spec.family
     if m.n != spec.degree:
         raise ValueError(f"degree mismatch: matrix is {m.n}, spec wants {spec.degree}")
-    if fam is Family.GL:
+    if spec.family is Family.GL:
         return bool(m.det())
-    if fam is Family.SL:
-        return is_special(m)
-    if fam is Family.SP:
-        return preserves(m, gram(m.ctx, FormKind.SYMPLECTIC, spec.degree))
-    if fam is Family.GU:
-        return preserves(m, gram(m.ctx, FormKind.UNITARY, spec.degree))
-    if fam is Family.SU:
-        return (preserves(m, gram(m.ctx, FormKind.UNITARY, spec.degree))
-                and is_special(m))
-    raise AssertionError(f"unhandled family {fam}")
+    form = form_for(spec, m.ctx)
+    if form is not None and not preserves(m, form):
+        return False
+    return spec.family not in (Family.SL, Family.SU) or is_special(m)

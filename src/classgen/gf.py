@@ -22,9 +22,9 @@ import math
 
 import numpy as np
 
-from classgen.spec import _prime_factors
-
-DEFAULT_FIELD_CAP = 2**20
+# DEFAULT_FIELD_CAP lives in the numpy-free spec module; importing it here
+# keeps classgen.gf.DEFAULT_FIELD_CAP working.
+from classgen.spec import DEFAULT_FIELD_CAP, _prime_factors, check_field_size
 
 
 def _is_prime(n: int) -> bool:
@@ -393,10 +393,10 @@ def _field_create_cached(p: int, k: int) -> FieldCtx:
     return ctx
 
 
-def field_create(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> FieldCtx:
+def field_create(p: int, k: int) -> FieldCtx:
     """Create GF(p^k) deterministically.
 
-    Raises ValueError if p is not prime, k < 1, or p**k exceeds cap.
+    Raises ValueError if p is not prime, k < 1, or p**k exceeds DEFAULT_FIELD_CAP.
     Validation runs before the cache so the outcome never depends on
     which fields were built earlier.
     """
@@ -406,9 +406,7 @@ def field_create(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> FieldCtx:
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree k = {k} must be at least 1")
-    q = p**k
-    if q > cap:
-        raise ValueError(f"field cardinality {q} exceeds the cap {cap}")
+    check_field_size(p**k)
     return _field_create_cached(p, k)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 MAX_Q = 2**40
 DEFAULT_CAP = 2_000_000
+DEFAULT_FIELD_CAP = 2**20
 ROW_CODE_LIMIT = 2**20
 
 
@@ -148,12 +149,29 @@ def check_row_code_limit(q: int, n: int) -> None:
                          f"GF({q}) at degree {n} exceeds it")
 
 
+def field_order(spec: GroupSpec) -> int:
+    """The size of the field the matrices of spec live over: q, or q**2 for gu/su."""
+    return spec.q**2 if spec.family in (Family.GU, Family.SU) else spec.q
+
+
+def check_field_size(q: int) -> None:
+    """Refuse a field of q > DEFAULT_FIELD_CAP elements."""
+    if q > DEFAULT_FIELD_CAP:
+        raise ValueError(f"field cardinality {q} exceeds the cap {DEFAULT_FIELD_CAP}")
+
+
+def check_field_limit(spec: GroupSpec) -> None:
+    """Refuse uncovered parameters (UnsupportedParametersError), then a field
+    past DEFAULT_FIELD_CAP."""
+    case_label(spec)
+    check_field_size(field_order(spec))
+
+
 def check_closure_limit(spec: GroupSpec) -> None:
     """Refuse uncovered parameters (UnsupportedParametersError), then a closure
-    past the row-code limit over the field of spec: GF(q), or GF(q**2) for gu/su."""
+    past the row-code limit over the field of spec."""
     case_label(spec)
-    unitary = spec.family in (Family.GU, Family.SU)
-    check_row_code_limit(spec.q**2 if unitary else spec.q, spec.degree)
+    check_row_code_limit(field_order(spec), spec.degree)
 
 
 def _product(factors: list[int]) -> int:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,11 @@ import classgen.enumeration as enumeration
 from classgen import Family, GroupSpec, cli, generator_pair, theoretical_order
 from classgen.cli import main
 from oracles import chunked_decimal
+from test_acceptance import CLOSURE_GRID
 
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
+# The benchmark's byte-exact `classgen gens` outputs; read here, never written.
+GENS_FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "gens"
 
 
 def run_main(capsys, argv):
@@ -48,15 +52,63 @@ def test_gens_json_is_the_default_format(capsys):
     assert payload["generators"][0]["rows"][0][0] == [0, 1]
 
 
+SP_4_3_WITH_FORM = """\
+{
+  "family": "sp",
+  "degree": 4,
+  "q": 3,
+  "case_label": "Sp, q odd, n > 1",
+  "field": {
+    "p": 3,
+    "k": 1,
+    "modulus": [0, 1],
+    "xi": [2]
+  },
+  "generators": [
+    {
+      "rows": [
+        [[2], [0], [0], [0]],
+        [[0], [1], [0], [0]],
+        [[0], [0], [1], [0]],
+        [[0], [0], [0], [2]]
+      ]
+    },
+    {
+      "rows": [
+        [[1], [0], [1], [0]],
+        [[1], [0], [0], [0]],
+        [[0], [1], [0], [1]],
+        [[0], [2], [0], [0]]
+      ]
+    }
+  ],
+  "form": {
+    "kind": "symplectic",
+    "rows": [
+      [[0], [0], [0], [1]],
+      [[0], [0], [1], [0]],
+      [[0], [2], [0], [0]],
+      [[2], [0], [0], [0]]
+    ]
+  }
+}
+"""
+
+
 def test_gens_json_emit_form_symplectic(capsys):
     code, out, _ = run_main(capsys, ["gens", "--family", "sp", "--degree", "4",
                                      "--q", "3", "--emit-form"])
     assert code == 0
-    payload = json.loads(out)
-    assert payload["form"]["kind"] == "symplectic"
-    assert payload["form"]["rows"] == [
-        [[0], [0], [0], [1]], [[0], [0], [1], [0]],
-        [[0], [2], [0], [0]], [[2], [0], [0], [0]]]
+    assert out == SP_4_3_WITH_FORM
+
+
+@pytest.mark.parametrize("family,degree,q", [
+    (family.value, degree, q) for family, degree, q, _ in CLOSURE_GRID])
+def test_gens_json_matches_the_benchmark_fixture(capsys, family, degree, q):
+    code, out, _ = run_main(capsys, ["gens", "--family", family, "--degree", str(degree),
+                                     "--q", str(q)])
+    assert code == 0
+    assert out.encode() == (GENS_FIXTURES / f"{family}_{degree}_{q}.json").read_bytes()
 
 
 def test_gens_json_emit_form_unitary_and_none(capsys):
@@ -158,30 +210,15 @@ def test_certify_indeterminate_with_cap(capsys):
     assert "verdict:    INDETERMINATE" in out
 
 
-def test_certify_cap_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CLASSGEN_CAP", "10000")
-    code, out, _ = run_main(capsys, ["certify", "--family", "su", "--degree", "4", "--q", "2"])
-    assert code == 4
-    assert "verdict:    INDETERMINATE" in out
-
-
-def test_certify_cap_argument_beats_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CLASSGEN_CAP", "10")
-    code, out, _ = run_main(capsys, ["certify", "--family", "sl", "--degree", "2",
-                                     "--q", "3", "--cap", "100"])
-    assert code == 0
-    assert "verdict:    PASS" in out
-
-
 def test_certify_invalid_cap(capsys, monkeypatch):
     code, _, err = run_main(capsys, ["certify", "--family", "sl", "--degree", "2",
                                      "--q", "3", "--cap", "0"])
     assert code == 3
-    assert "cap must be at least 1" in err
-    monkeypatch.setenv("CLASSGEN_CAP", "plenty")
-    code, _, err = run_main(capsys, ["certify", "--family", "sl", "--degree", "2", "--q", "3"])
-    assert code == 3
-    assert "CLASSGEN_CAP must be an integer" in err
+    assert "cap must be at least 1, got 0" in err
+    monkeypatch.setenv("CLASSGEN_CAP", "10")  # no longer read: the default cap applies
+    code, out, _ = run_main(capsys, ["certify", "--family", "sl", "--degree", "2", "--q", "3"])
+    assert code == 0
+    assert "verdict:    PASS" in out
 
 
 def test_order(capsys):

@@ -135,9 +135,9 @@ def test_construction_rejects_bad_parameters():
 def test_construction_respects_cap():
     with pytest.raises(ValueError, match="exceeds the cap"):
         field_create(2, 25)
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        field_create(2, 5, cap=16)
-    assert field_create(2, 5, cap=32).q == 32
+    with pytest.raises(ValueError, match="field cardinality 2097152 exceeds the cap 1048576"):
+        field_create(2, 21)
+    assert field_create(2, 20).q == 2**20
     assert DEFAULT_FIELD_CAP == 2**20
 
 

@@ -66,6 +66,8 @@ NUMPY_FREE = {
     "exit 2": (["order", "--family", "sp", "--degree", "3", "--q", "3"], 2),
     "exit 3": (["order", "--family", "gl", "--degree", "0", "--q", str(2**40 + 1)], 3),
     "closure limit": (["certify", "--family", "gl", "--degree", "27", "--q", "1048576"], 3),
+    "cap below 1": (["certify", "--family", "sl", "--degree", "2", "--q", "3", "--cap", "0"], 3),
+    "field limit": (["gens", "--family", "gu", "--degree", "3", "--q", "2048"], 3),
     "help": (["--help"], 0),
 }
 
@@ -103,6 +105,19 @@ def _import_time_imports(path: Path):
                 yield from (f"classgen.{alias.name}" for alias in node.names)
         else:
             stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_reads_the_environment():
+    # Settings come from arguments only, so a command line means the same in
+    # every shell: no os.environ, environ or getenv anywhere in the package.
+    names = {"environ", "getenv"}
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+             and names & {getattr(node, "attr", None), getattr(node, "id", None),
+                          getattr(node, "name", None)}]
+    assert reads == []
 
 
 @pytest.mark.parametrize("module,allowed", [("spec", set()), ("cli", {"classgen.spec"})])
