@@ -2,8 +2,8 @@
 fields, with exact field arithmetic and brute-force closure certification.
 
 The package imports lazily (PEP 562): each public name loads its submodule
-on first access, so `import classgen` and the parameter-only names (GroupSpec,
-theoretical_order, ...) do not load numpy.
+on first access.  Only the enumeration names (closure, certify, ...) load
+numpy; fields, matrices, generator pairs and forms are pure Python.
 """
 
 import importlib

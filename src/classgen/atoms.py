@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from classgen.gf import FieldCtx, FieldElem, frobenius
-from classgen.matrix import Mat
+from classgen.matrix import Mat, _identity_codes
 
 
 class DualKind(enum.Enum):
@@ -54,9 +52,8 @@ def elem_x(ctx: FieldCtx, i: int, j: int, alpha, deg: int) -> Mat:
     if i == j:
         raise ValueError("x_ij needs distinct indices i and j")
     a = _scalar(ctx, alpha)
-    codes = np.zeros((deg, deg), dtype=np.int64)
-    np.fill_diagonal(codes, 1)
-    codes[i - 1, j - 1] = a.code
+    codes = _identity_codes(deg)
+    codes[i - 1][j - 1] = a.code
     return Mat(ctx, codes)
 
 
@@ -66,21 +63,20 @@ def elem_h(ctx: FieldCtx, i: int, alpha, deg: int) -> Mat:
     a = _scalar(ctx, alpha)
     if not a:
         raise ValueError("h_i needs a nonzero scalar")
-    codes = np.zeros((deg, deg), dtype=np.int64)
-    np.fill_diagonal(codes, 1)
-    codes[i - 1, i - 1] = a.code
+    codes = _identity_codes(deg)
+    codes[i - 1][i - 1] = a.code
     return Mat(ctx, codes)
 
 
-def _monomial_from_cycle(ctx: FieldCtx, cycle: list[int], deg: int) -> np.ndarray:
+def _monomial_from_cycle(ctx: FieldCtx, cycle: list[int], deg: int) -> list[list[int]]:
     """Codes of the permutation matrix of one cycle on 1..deg (column convention)."""
     sigma = list(range(deg + 1))
     m = len(cycle)
     for t, a in enumerate(cycle):
         sigma[a] = cycle[(t + 1) % m]
-    codes = np.zeros((deg, deg), dtype=np.int64)
+    codes = [[0] * deg for _ in range(deg)]
     for j in range(1, deg + 1):
-        codes[sigma[j] - 1, j - 1] = 1
+        codes[sigma[j] - 1][j - 1] = 1
     return codes
 
 
@@ -89,7 +85,7 @@ def transposition_w(ctx: FieldCtx, i: int, deg: int) -> Mat:
     if not 1 <= i <= deg - 1:
         raise ValueError(f"transposition index {i} out of range [1, {deg - 1}]")
     codes = _monomial_from_cycle(ctx, [i, i + 1], deg)
-    codes[i, i - 1] = ctx.neg_code(1)
+    codes[i][i - 1] = ctx.neg_code(1)
     return Mat(ctx, codes)
 
 
@@ -97,11 +93,11 @@ def cycle_w(ctx: FieldCtx, deg: int) -> Mat:
     """w = w_1 w_2 ... w_{deg-1}: entry (1, deg) is 1, entries (i+1, i) are -1."""
     if deg < 2:
         raise ValueError(f"degree {deg} must be at least 2")
-    codes = np.zeros((deg, deg), dtype=np.int64)
-    codes[0, deg - 1] = 1
+    codes = [[0] * deg for _ in range(deg)]
+    codes[0][deg - 1] = 1
     neg_one = ctx.neg_code(1)
     for i in range(1, deg):
-        codes[i, i - 1] = neg_one
+        codes[i][i - 1] = neg_one
     return Mat(ctx, codes)
 
 
@@ -115,10 +111,9 @@ def hat_h(ctx: FieldCtx, i: int, alpha, n: int) -> Mat:
         raise ValueError("hat_h needs a nonzero scalar")
     deg = 2 * n
     ip = dual_index(i, DualKind.SP, n)
-    codes = np.zeros((deg, deg), dtype=np.int64)
-    np.fill_diagonal(codes, 1)
-    codes[i - 1, i - 1] = a.code
-    codes[ip - 1, ip - 1] = (a ** -1).code
+    codes = _identity_codes(deg)
+    codes[i - 1][i - 1] = a.code
+    codes[ip - 1][ip - 1] = (a ** -1).code
     return Mat(ctx, codes)
 
 
@@ -148,7 +143,7 @@ def hat_w(ctx: FieldCtx, n: int) -> Mat:
     deg = 2 * n
     cycle = list(range(1, n + 1)) + [dual_index(i, DualKind.SP, n) for i in range(1, n + 1)]
     codes = _monomial_from_cycle(ctx, cycle, deg)
-    codes[deg - 1, n - 1] = ctx.neg_code(1)
+    codes[deg - 1][n - 1] = ctx.neg_code(1)
     return Mat(ctx, codes)
 
 
@@ -179,13 +174,12 @@ def tilde_h(ctx: FieldCtx, i: int, alpha, deg: int, kind: DualKind) -> Mat:
         raise ValueError("tilde_h needs a nonzero scalar")
     ip = dual_index(i, kind, n)
     abar_inv = frobenius(a) ** -1
-    codes = np.zeros((deg, deg), dtype=np.int64)
-    np.fill_diagonal(codes, 1)
+    codes = _identity_codes(deg)
     if ip == i:
-        codes[i - 1, i - 1] = (a * abar_inv).code
+        codes[i - 1][i - 1] = (a * abar_inv).code
     else:
-        codes[i - 1, i - 1] = a.code
-        codes[ip - 1, ip - 1] = abar_inv.code
+        codes[i - 1][i - 1] = a.code
+        codes[ip - 1][ip - 1] = abar_inv.code
     return Mat(ctx, codes)
 
 
@@ -215,8 +209,8 @@ def tilde_w(ctx: FieldCtx, n: int, eta) -> Mat:
     deg = 2 * n
     cycle = list(range(1, n + 1)) + [dual_index(i, DualKind.U_EVEN, n) for i in range(1, n + 1)]
     codes = _monomial_from_cycle(ctx, cycle, deg)
-    codes[0, n] = e.code
-    codes[deg - 1, n - 1] = (-(e ** -1)).code
+    codes[0][n] = e.code
+    codes[deg - 1][n - 1] = (-(e ** -1)).code
     return Mat(ctx, codes)
 
 
@@ -233,11 +227,10 @@ def q_block(ctx: FieldCtx, alpha, beta, deg: int) -> Mat:
     if a * frobenius(a) + b + frobenius(b) != ctx.zero:
         raise ValueError("Q(alpha, beta) requires alpha*conj(alpha) + beta + conj(beta) = 0")
     n = (deg - 1) // 2
-    codes = np.zeros((deg, deg), dtype=np.int64)
-    np.fill_diagonal(codes, 1)
-    codes[n - 1, n] = a.code
-    codes[n - 1, n + 1] = b.code
-    codes[n, n + 1] = (-frobenius(a)).code
+    codes = _identity_codes(deg)
+    codes[n - 1][n] = a.code
+    codes[n - 1][n + 1] = b.code
+    codes[n][n + 1] = (-frobenius(a)).code
     return Mat(ctx, codes)
 
 
@@ -250,5 +243,5 @@ def w_prime(ctx: FieldCtx, n: int) -> Mat:
     cycle = [dual_index(i, DualKind.U_ODD, n) for i in range(n, 0, -1)]
     cycle += list(range(n, 0, -1))
     codes = _monomial_from_cycle(ctx, cycle, deg)
-    codes[n, n] = ctx.neg_code(1)
+    codes[n][n] = ctx.neg_code(1)
     return Mat(ctx, codes)

@@ -69,7 +69,7 @@ def _text_rows(m) -> list[str]:
 
 def cmd_gens(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
-    check_field_limit(spec)  # refuse uncovered parameters and sizes before numpy loads
+    check_field_limit(spec)  # refuse uncovered parameters and sizes before any field is built
     from classgen.families import form_for, generator_pair
     from classgen.gf import field_to_json, poly_string
 
@@ -114,10 +114,10 @@ def cmd_gens(args) -> int:
     else:  # gap: entries as powers of xi, the xi mapping stated up front
         def gap_row(row) -> str:
             return "  [ " + ", ".join(
-                f"xi^{ctx.dlog_code(c)}" if c else "0*xi^0" for c in row.tolist()) + " ]"
+                f"xi^{ctx.dlog_code(e.code)}" if e else "0*xi^0" for e in row) + " ]"
 
         def gap_matrix(name: str, m) -> list[str]:
-            return [f"{name} := [", ",\n".join(map(gap_row, m.codes)), "];"]
+            return [f"{name} := [", ",\n".join(map(gap_row, m.rows())), "];"]
 
         lines = [
             f"# family {spec.family.value}, degree {spec.degree}, q {spec.q}, "

@@ -186,7 +186,7 @@ def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:
     if result.truncated:
         raise ValueError(f"cap {cap} truncated the enumeration at {result.size} elements")
     ctx = gens[0].ctx
-    return [Mat(ctx, m) for m in _decode(np.concatenate(found), ctx.q)]
+    return [Mat(ctx, m) for m in _decode(np.concatenate(found), ctx.q).tolist()]
 
 
 def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from classgen.gf import FieldCtx, FieldElem, frobenius
 from classgen.matrix import Mat
 
@@ -34,17 +32,17 @@ def gram(ctx: FieldCtx, kind: FormKind, dim: int) -> GramForm:
     """The Gram matrix of the standard form of the given kind and dimension."""
     if dim < 2:
         raise ValueError(f"form dimension {dim} must be at least 2")
-    codes = np.zeros((dim, dim), dtype=np.int64)
+    codes = [[0] * dim for _ in range(dim)]
     if kind is FormKind.SYMPLECTIC:
         if dim % 2:
             raise ValueError(f"symplectic forms need an even dimension, got {dim}")
         neg_one = ctx.neg_code(1)
         for r in range(dim):
-            codes[r, dim - 1 - r] = 1 if r < dim // 2 else neg_one
+            codes[r][dim - 1 - r] = 1 if r < dim // 2 else neg_one
     elif kind is FormKind.UNITARY:
         ctx.subfield_order()
         for r in range(dim):
-            codes[r, dim - 1 - r] = 1
+            codes[r][dim - 1 - r] = 1
     else:
         raise ValueError(f"unknown form kind {kind!r}")
     return GramForm(kind, dim, Mat(ctx, codes))
@@ -61,11 +59,10 @@ def form_defect(x: Mat, form: GramForm):
         raise ValueError("matrix and form live over different fields")
     left = x.conj_transpose() if form.kind is FormKind.UNITARY else x.transpose()
     got = left * form.j * x
-    want = form.j
-    for i in range(form.dim):
-        for j in range(form.dim):
-            if got.codes[i, j] != want.codes[i, j]:
-                return (i, j, got.entry(i, j), want.entry(i, j))
+    for i, (got_row, want_row) in enumerate(zip(got.rows(), form.j.rows())):
+        for j, (have, want) in enumerate(zip(got_row, want_row)):
+            if have != want:
+                return (i, j, have, want)
     return None
 
 

@@ -10,8 +10,9 @@ lexicographically least element of multiplicative order exactly q - 1.
 Both comparisons read coefficient tuples constant term first.  Two calls of
 field_create with equal (p, k) therefore return identical contexts.
 
-Scalar arithmetic works on coefficient lists; bulk products contract digit
-arrays with the structure constants of FieldCtx.tables, for every field.
+Scalar arithmetic works on coefficient lists.  The closure's row tables
+contract digit arrays with the structure constants of FieldCtx.tables; those
+two methods are the only ones that load numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-
-import numpy as np
+import numbers
 
 # DEFAULT_FIELD_CAP lives in the numpy-free spec module; importing it here
 # keeps classgen.gf.DEFAULT_FIELD_CAP working.
@@ -147,7 +147,7 @@ class FieldCtx:
             if x.ctx != self:
                 raise ValueError("element belongs to a different field")
             return x
-        if isinstance(x, (int, np.integer)):
+        if isinstance(x, numbers.Integral):
             return FieldElem(self, int(x) % self.p)
         if isinstance(x, (list, tuple)):
             return FieldElem(self, self.coeffs_to_code(x))
@@ -230,12 +230,14 @@ class FieldCtx:
 
     # -- bulk arithmetic -------------------------------------------------------
 
-    def digits(self, codes: np.ndarray) -> np.ndarray:
+    def digits(self, codes):
         """Base-p digits of an array of codes, in a new trailing axis of length k."""
+        import numpy as np
+
         powers = self.p ** np.arange(self.k, dtype=np.int64)
         return np.asarray(codes, dtype=np.int64)[..., None] // powers % self.p
 
-    def tables(self) -> np.ndarray:
+    def tables(self):
         """Structure constants S, an int64 array of shape (k, k, k).
 
         S[s, t] is the coefficient vector of t**(s+t) mod the modulus, so
@@ -243,6 +245,8 @@ class FieldCtx:
         sum over s, t of x[s] * y[t] * S[s, t], mod p.
         """
         if self._basis_mul is None:
+            import numpy as np
+
             k = self.k
             powers = [_poly_rem([0] * d + [1] + [0] * k, self.modulus, self.p)
                       for d in range(2 * k - 1)]  # t**0 .. t**(2k-2)
@@ -295,7 +299,7 @@ class FieldElem:
             if other.ctx != self.ctx:
                 raise ValueError("mixed fields in arithmetic")
             return other.code
-        if isinstance(other, (int, np.integer)):
+        if isinstance(other, numbers.Integral):
             return int(other) % self.ctx.p
         return None
 
@@ -348,7 +352,7 @@ class FieldElem:
     def __eq__(self, other):
         if isinstance(other, FieldElem):
             return self.ctx == other.ctx and self.code == other.code
-        if isinstance(other, (int, np.integer)):
+        if isinstance(other, numbers.Integral):
             return self.code == int(other) % self.ctx.p
         return NotImplemented
 

@@ -1,42 +1,61 @@
 """Dense square matrices over a finite field: exact arithmetic, canonical bytes.
 
-Entries are stored as an (n, n) array of integer element codes.  Matrices
-are immutable.  Every product contracts the base-p digits of both factors
-with the field's structure constants (FieldCtx.tables).  The canonical
-encoding is a field-independent byte form of one matrix: one byte for the
-degree n (so n <= 255), then the entries in row-major order, each entry as
-its k base-p digits (constant term first), every digit written as
-digit_width(p) little-endian bytes.  The closure enumeration does not use
-it; it keys matrices on their row codes.
+Entries are stored as a tuple of n rows, each a tuple of n integer element
+codes.  Matrices are immutable.  Every product uses the field's scalar
+arithmetic and skips the zero entries of both factors, so it costs one
+multiply per pair of nonzeros that meet.  Only Mat.codes, the entries as a
+numpy array for the closure, loads numpy.  The canonical encoding is a
+field-independent byte form of one matrix: one byte for the degree n (so
+n <= 255), then the entries in row-major order, each entry as its k base-p
+digits (constant term first), every digit written as digit_width(p)
+little-endian bytes.  The closure enumeration does not use it; it keys
+matrices on their row codes.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import operator
 
 from classgen.gf import FieldCtx, FieldElem, digit_width
+
+
+def _identity_codes(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class Mat:
     """An immutable n x n matrix over a FieldCtx."""
 
-    __slots__ = ("ctx", "n", "_codes")
+    __slots__ = ("ctx", "n", "_rows", "_codes")
 
-    def __init__(self, ctx: FieldCtx, codes: np.ndarray):
-        arr = np.ascontiguousarray(codes, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
+    def __init__(self, ctx: FieldCtx, codes):
+        """codes: the n rows of entry codes, as nested sequences or a 2-D array of
+        integers.  A non-integral entry, such as a float, raises ValueError."""
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in codes)
+        except TypeError as exc:
+            raise ValueError(f"matrix must be rows of integer codes: {exc}") from None
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"matrix must be square, got row lengths {[len(r) for r in rows]}")
+        if n < 1:
             raise ValueError("matrix degree must be at least 1")
-        if arr.min() < 0 or arr.max() >= ctx.q:
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= ctx.q:
             raise ValueError("entry code out of range for the field")
-        arr.flags.writeable = False
         self.ctx = ctx
-        self.n = arr.shape[0]
-        self._codes = arr
+        self.n = n
+        self._rows = rows
+        self._codes = None
 
     @property
-    def codes(self) -> np.ndarray:
+    def codes(self):
+        """The entry codes as a read-only (n, n) int64 ndarray."""
+        if self._codes is None:
+            import numpy as np
+
+            arr = np.array(self._rows, dtype=np.int64)
+            arr.flags.writeable = False
+            self._codes = arr
         return self._codes
 
     # -- constructors -----------------------------------------------------
@@ -44,47 +63,40 @@ class Mat:
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "Mat":
         n = len(rows)
-        arr = np.empty((n, n), dtype=np.int64)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("rows must all have the same length as the row count")
-            for j, entry in enumerate(row):
-                arr[i, j] = ctx.elem(entry).code
-        return cls(ctx, arr)
+        if any(len(row) != n for row in rows):
+            raise ValueError("rows must all have the same length as the row count")
+        return cls(ctx, [[ctx.elem(entry).code for entry in row] for row in rows])
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Mat":
-        arr = np.zeros((n, n), dtype=np.int64)
-        np.fill_diagonal(arr, 1)
-        return cls(ctx, arr)
+        return cls(ctx, _identity_codes(n))
 
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> FieldElem:
         """Entry at 0-based position (i, j)."""
-        return FieldElem(self.ctx, int(self._codes[i, j]))
+        return FieldElem(self.ctx, self._rows[i][j])
 
     def rows(self) -> list[list[FieldElem]]:
-        return [[FieldElem(self.ctx, int(c)) for c in row] for row in self._codes]
+        return [[FieldElem(self.ctx, c) for c in row] for row in self._rows]
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.ctx == other.ctx and self.n == other.n
-                and np.array_equal(self._codes, other._codes))
+        return self.ctx == other.ctx and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.ctx.q, self.n, self._codes.tobytes()))
+        return hash((self.ctx.q, self._rows))
 
     def __repr__(self):
         return f"Mat(GF({self.ctx.q}), {self.n}x{self.n})"
 
     def __str__(self):
         body = []
-        for row in self._codes:
+        for row in self._rows:
             entries = []
             for c in row:
-                coeffs = self.ctx.code_to_coeffs(int(c))
+                coeffs = self.ctx.code_to_coeffs(c)
                 if self.ctx.k == 1:
                     entries.append(str(coeffs[0]))
                 else:
@@ -104,14 +116,20 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         self._check_compatible(other)
-        ctx = self.ctx
-        a, b = ctx.digits(self._codes), ctx.digits(other._codes)
-        # Digits are < p <= 2**20, so each of the n terms of a digit product
-        # sum is < 2**40 and int64 stays exact for degree n < 2**23; the k**2
-        # terms of the contraction with S stay below 2**49 for q <= 2**20.
-        prod = np.einsum("ils,ljt->ijst", a, b) % ctx.p
-        out = np.einsum("ijst,stu->iju", prod, ctx.tables()) % ctx.p
-        return Mat(ctx, out @ ctx.p ** np.arange(ctx.k, dtype=np.int64))
+        add, mul = self.ctx.add_code, self.ctx.mul_code
+        # Row i of the product is the sum of a[i][l] * (row l of other) over
+        # the nonzero a[i][l]; each such term touches only the nonzero
+        # entries of row l.
+        support = [[(j, c) for j, c in enumerate(row) if c] for row in other._rows]
+        out = []
+        for row in self._rows:
+            acc = [0] * self.n
+            for a, terms in zip(row, support):
+                if a:
+                    for j, c in terms:
+                        acc[j] = add(acc[j], mul(a, c))
+            out.append(acc)
+        return Mat(self.ctx, out)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -126,7 +144,7 @@ class Mat:
         return out
 
     def transpose(self) -> "Mat":
-        return Mat(self.ctx, self._codes.T.copy())
+        return Mat(self.ctx, list(zip(*self._rows)))
 
     def conj_transpose(self, q0: int | None = None) -> "Mat":
         """Transpose with every entry conjugated by x -> x**q0 (quadratic extensions)."""
@@ -134,16 +152,12 @@ class Mat:
         want = ctx.subfield_order()
         if q0 is not None and q0 != want:
             raise ValueError(f"GF({ctx.q}) is not a quadratic extension of GF({q0})")
-        out = np.empty((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[j, i] = ctx.frobenius_code(int(self._codes[i, j]))
-        return Mat(ctx, out)
+        return Mat(ctx, [[ctx.frobenius_code(c) for c in col] for col in zip(*self._rows)])
 
     def det(self) -> FieldElem:
         """Determinant by Gaussian elimination, pivoting on the first nonzero entry."""
         ctx, n = self.ctx, self.n
-        a = [[int(c) for c in row] for row in self._codes]
+        a = [list(row) for row in self._rows]
         det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
@@ -165,8 +179,8 @@ class Mat:
     def inverse(self) -> "Mat":
         """Inverse by Gauss-Jordan elimination; raises ZeroDivisionError if singular."""
         ctx, n = self.ctx, self.n
-        a = [[int(c) for c in row] for row in self._codes]
-        b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        a = [list(row) for row in self._rows]
+        b = _identity_codes(n)
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
@@ -182,7 +196,7 @@ class Mat:
                     f = a[r][col]
                     a[r] = [ctx.sub_code(x, ctx.mul_code(f, y)) for x, y in zip(a[r], a[col])]
                     b[r] = [ctx.sub_code(x, ctx.mul_code(f, y)) for x, y in zip(b[r], b[col])]
-        return Mat(ctx, np.array(b, dtype=np.int64))
+        return Mat(ctx, b)
 
     # -- canonical bytes -------------------------------------------------------
 
@@ -193,9 +207,10 @@ class Mat:
         ctx = self.ctx
         w = digit_width(ctx.p)
         out = bytearray([self.n])
-        for code in self._codes.flat:
-            for d in ctx.code_to_coeffs(int(code)):
-                out += d.to_bytes(w, "little")
+        for row in self._rows:
+            for code in row:
+                for d in ctx.code_to_coeffs(code):
+                    out += d.to_bytes(w, "little")
         return bytes(out)
 
     @classmethod
@@ -207,16 +222,15 @@ class Mat:
         body = data[1:]
         if n < 1 or len(body) != n * n * ctx.k * w:
             raise ValueError("canonical encoding has the wrong length")
-        arr = np.empty((n, n), dtype=np.int64)
+        codes = []
         pos = 0
-        for i in range(n):
-            for j in range(n):
-                coeffs = []
-                for _ in range(ctx.k):
-                    d = int.from_bytes(body[pos:pos + w], "little")
-                    if d >= ctx.p:
-                        raise ValueError("canonical encoding has a digit out of range")
-                    coeffs.append(d)
-                    pos += w
-                arr[i, j] = ctx.coeffs_to_code(coeffs)
-        return cls(ctx, arr)
+        for _ in range(n * n):
+            coeffs = []
+            for _ in range(ctx.k):
+                d = int.from_bytes(body[pos:pos + w], "little")
+                if d >= ctx.p:
+                    raise ValueError("canonical encoding has a digit out of range")
+                coeffs.append(d)
+                pos += w
+            codes.append(ctx.coeffs_to_code(coeffs))
+        return cls(ctx, [codes[i:i + n] for i in range(0, n * n, n)])

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from classgen import Mat, cycle_w, elem_h, field_create
+from classgen import FieldCtx, Mat, cycle_w, elem_h, elem_x, field_create
 from oracles import all_matrices, cofactor_det, slow_mat_mul
 
 GF2 = field_create(2, 1)
@@ -50,8 +50,39 @@ def test_degree_zero_rejected():
 def test_raw_codes_validated():
     with pytest.raises(ValueError, match="out of range"):
         Mat(GF4, np.array([[5]], dtype=np.int64))
+    with pytest.raises(ValueError, match="out of range"):
+        Mat(GF4, [[0, -1], [1, 0]])
     with pytest.raises(ValueError, match="square"):
         Mat(GF4, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="square"):
+        Mat(GF4, [[1, 0], [0]])
+    with pytest.raises(ValueError, match="rows of integer codes"):
+        Mat(GF4, np.array([1, 0]))
+
+
+@pytest.mark.parametrize("codes", [
+    np.array([[1.7, 0.2], [0, 2.9]]),
+    np.array([[1.0, 0.0], [0.0, 1.0]]),
+    [[1, 0], [0, 1.0]],
+    [[1, 0], [0, np.float64(2)]],
+    [[1, 0], [0, "2"]],
+], ids=["float-array", "integral-float-array", "float", "numpy-float", "str"])
+def test_non_integer_codes_are_refused(codes):
+    with pytest.raises(ValueError, match="rows of integer codes"):
+        Mat(GF3, codes)
+
+
+def test_array_lists_and_tuples_give_one_matrix():
+    arr = np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+    lists = [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
+    mats = [Mat(GF3, arr), Mat(GF3, arr.astype(np.int8)), Mat(GF3, lists),
+            Mat(GF3, tuple(map(tuple, lists))), Mat(GF3, [list(row) for row in arr]),
+            Mat.from_rows(GF3, lists)]
+    for m in mats:
+        assert m == mats[0]
+        assert hash(m) == hash(mats[0])
+        assert all(type(e.code) is int for row in m.rows() for e in row)
+    assert len(set(mats)) == 1
 
 
 def test_identity():
@@ -62,9 +93,15 @@ def test_identity():
 
 
 def test_codes_are_read_only():
-    m = Mat.identity(GF3, 2)
+    """codes is a read-only int64 (n, n) array of the entry codes, built once."""
+    m = Mat.from_rows(GF9, [[GF9.xi, 0, 1], [2, 1, 0], [0, 0, GF9.xi ** 2]])
+    codes = m.codes
+    assert codes.dtype == np.int64
+    assert codes.shape == (3, 3)
+    assert codes.tolist() == [[e.code for e in row] for row in m.rows()]
+    assert m.codes is codes
     with pytest.raises(ValueError):
-        m.codes[0, 0] = 2
+        codes[0, 0] = 2
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +127,7 @@ def test_mul_matches_scalar_oracle(ctx):
 
 
 def test_mul_without_lookup_tables():
-    """A field with more than 2048 elements multiplies on the same path."""
+    """A field with more than 2048 elements multiplies by the same scalar arithmetic."""
     big = field_create(5, 5)  # q = 3125
     rng = random.Random(3)
     a = random_mat(big, 3, rng)
@@ -99,12 +136,34 @@ def test_mul_without_lookup_tables():
     assert (a * Mat.identity(big, 3)) == a
 
 
-def test_mul_digit_sums_stay_exact_at_the_largest_prime():
-    """Every digit product is (p-1)**2 ~ 2**40; sixteen of them must not wrap."""
+def test_mul_sums_stay_exact_at_the_largest_prime():
+    """Every entry product is (p-1)**2 ~ 2**40; sixteen of them sum to 16 mod p."""
     ctx = field_create(1048573, 1)
     a = Mat(ctx, np.full((16, 16), ctx.p - 1, dtype=np.int64))
     assert a * a == slow_mat_mul(a, a)
     assert (a * a).codes.tolist() == [[16] * 16] * 16
+
+
+def test_mul_costs_one_scalar_product_per_meeting_pair_of_nonzeros(monkeypatch):
+    """A product multiplies only nonzero entries of both factors: x_12(1) w of
+    degree 300 has 301 nonzero pairs, not 300**3 entry products."""
+    ctx, n = GF5, 300
+    calls = 0
+    mul_code = FieldCtx.mul_code
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul_code(self, a, b)
+
+    a, b = elem_x(ctx, 1, 2, 1, n), cycle_w(ctx, n)
+    monkeypatch.setattr(FieldCtx, "mul_code", counting)
+    product = a * b
+    assert calls <= 2 * n
+    # Row 1 of the product is row 1 of w plus row 2 of w; the rest is w.
+    want = [[e.code for e in row] for row in b.rows()]
+    want[0][0] = ctx.neg_code(1)
+    assert product == Mat(ctx, want)
 
 
 def test_mul_shape_and_field_mismatch():
