@@ -6,8 +6,9 @@ Subcommands:
   order    print the theoretical group order
 
 Exit codes: 0 success / PASS, 1 FAIL, 2 unsupported parameters,
-3 usage error or a documented size limit, 4 INDETERMINATE (cap truncated
-the closure), 5 internal error (a bug; never a verdict).
+3 usage error or a documented size limit, 4 INDETERMINATE (both generators
+are members, but the cap truncated the closure), 5 internal error (a bug;
+never a verdict).
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ set, not on ordering or duplicates.  The tables limit closure to
 q**n <= 2**20 (ROW_CODE_LIMIT), checked before any work.
 
 certify() combines the membership predicates, the exact theoretical order
-and the closure count into a PASS / FAIL / INDETERMINATE verdict, where
-INDETERMINATE means the cap truncated the search.
+and the closure count into a PASS / FAIL / INDETERMINATE verdict.
+INDETERMINATE needs both generators to be members and the cap to have
+truncated the search; certify() states the whole rule.
 """
 
 from __future__ import annotations
@@ -191,6 +192,11 @@ def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:
 
 def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
     """Certify the generator pair for spec against the theoretical group order.
+
+    PASS: both generators are members of G and the closure finished at
+    exactly |G|.  FAIL: a generator is not a member, whatever the closure
+    did, or the closure finished at another size.  INDETERMINATE: both are
+    members and the cap truncated the closure.
 
     Uncovered parameters (UnsupportedParametersError) and the closure size
     limit (ValueError) are refused before any generator is built.

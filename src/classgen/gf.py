@@ -276,11 +276,6 @@ class FieldCtx:
         raise AssertionError("xi does not generate the multiplicative group")
 
 
-def digit_width(p: int) -> int:
-    """Bytes needed to hold one base-p digit."""
-    return ((p - 1).bit_length() + 7) // 8 if p > 2 else 1
-
-
 class FieldElem:
     """An element of a FieldCtx.  Immutable; supports field arithmetic operators."""
 

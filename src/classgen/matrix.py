@@ -1,22 +1,18 @@
-"""Dense square matrices over a finite field: exact arithmetic, canonical bytes.
+"""Dense square matrices over a finite field with exact arithmetic.
 
 Entries are stored as a tuple of n rows, each a tuple of n integer element
-codes.  Matrices are immutable.  Every product uses the field's scalar
-arithmetic and skips the zero entries of both factors, so it costs one
-multiply per pair of nonzeros that meet.  Only Mat.codes, the entries as a
-numpy array for the closure, loads numpy.  The canonical encoding is a
-field-independent byte form of one matrix: one byte for the degree n (so
-n <= 255), then the entries in row-major order, each entry as its k base-p
-digits (constant term first), every digit written as digit_width(p)
-little-endian bytes.  The closure enumeration does not use it; it keys
-matrices on their row codes.
+codes.  Matrices are immutable; two are equal exactly when they share a
+field and their entry codes, and equal matrices hash alike.  Every product
+uses the field's scalar arithmetic and skips the zero entries of both
+factors, so it costs one multiply per pair of nonzeros that meet.  Only
+Mat.codes, the entries as a numpy array for the closure, loads numpy.
 """
 
 from __future__ import annotations
 
 import operator
 
-from classgen.gf import FieldCtx, FieldElem, digit_width
+from classgen.gf import FieldCtx, FieldElem
 
 
 def _identity_codes(n: int) -> list[list[int]]:
@@ -198,39 +194,3 @@ class Mat:
                     b[r] = [ctx.sub_code(x, ctx.mul_code(f, y)) for x, y in zip(b[r], b[col])]
         return Mat(ctx, b)
 
-    # -- canonical bytes -------------------------------------------------------
-
-    def encode_canonical(self) -> bytes:
-        """Injective byte encoding of (degree, entries) for one field."""
-        if self.n > 255:
-            raise ValueError("canonical encoding supports degree up to 255")
-        ctx = self.ctx
-        w = digit_width(ctx.p)
-        out = bytearray([self.n])
-        for row in self._rows:
-            for code in row:
-                for d in ctx.code_to_coeffs(code):
-                    out += d.to_bytes(w, "little")
-        return bytes(out)
-
-    @classmethod
-    def decode_canonical(cls, ctx: FieldCtx, data: bytes) -> "Mat":
-        if len(data) < 1:
-            raise ValueError("empty canonical encoding")
-        n = data[0]
-        w = digit_width(ctx.p)
-        body = data[1:]
-        if n < 1 or len(body) != n * n * ctx.k * w:
-            raise ValueError("canonical encoding has the wrong length")
-        codes = []
-        pos = 0
-        for _ in range(n * n):
-            coeffs = []
-            for _ in range(ctx.k):
-                d = int.from_bytes(body[pos:pos + w], "little")
-                if d >= ctx.p:
-                    raise ValueError("canonical encoding has a digit out of range")
-                coeffs.append(d)
-                pos += w
-            codes.append(ctx.coeffs_to_code(coeffs))
-        return cls(ctx, [codes[i:i + n] for i in range(0, n * n, n)])

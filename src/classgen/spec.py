@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 MAX_Q = 2**40
@@ -50,6 +51,14 @@ def parse_family(name: str) -> Family:
     raise ValueError(f"unknown family {name!r}; use gl, sl, sp, gu, su or the long names")
 
 
+def _as_int(x) -> int | None:
+    """x as a Python int if it is an integer type (not a float), else None."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     family: Family
@@ -59,10 +68,15 @@ class GroupSpec:
     def __post_init__(self):
         if not isinstance(self.family, Family):
             raise ValueError("family must be a Family value")
-        if int(self.degree) != self.degree or self.degree < 1:
+        # Store Python ints: a numpy integer would overflow in theoretical_order,
+        # and a float would turn the exact order into a float.
+        degree, q = _as_int(self.degree), _as_int(self.q)
+        if degree is None or degree < 1:
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        if int(self.q) != self.q or self.q < 2:
+        if q is None or q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "q", q)
         if self.q > MAX_Q:
             # Factoring q by trial division takes about 0.1 s at this bound.
             raise ValueError(f"q = {self.q} exceeds the limit 2**40")

@@ -1,6 +1,6 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the code paths they check: multiplicative order by
+These deliberately avoid the code paths they check: multiplicative orders by
 repeated multiplication, determinants by cofactor expansion, counting group
 elements by exhaustive filtering, the breadth-first closure by Mat
 products in a Python set instead of row tables and sorted packed keys, group
@@ -25,6 +25,16 @@ def brute_order(a: FieldElem) -> int:
         power = power * a
         order += 1
         assert order <= a.ctx.q
+    return order
+
+
+def brute_mat_order(m: Mat) -> int:
+    """Multiplicative order of an invertible matrix by repeated multiplication."""
+    identity = Mat.identity(m.ctx, m.n)
+    power, order = m, 1
+    while power != identity:
+        power = power * m
+        order += 1
     return order
 
 
@@ -70,7 +80,7 @@ def all_matrices(ctx, n):
 
 
 def set_closure(gens, cap):
-    """Breadth-first closure keyed by encode_canonical in a Python set.
+    """Breadth-first closure keyed by Mat itself in a Python set.
 
     Same search as closure(): right-multiply the frontier by each generator
     in turn, keep first occurrences in order, check the cap after each
@@ -78,7 +88,7 @@ def set_closure(gens, cap):
     order).
     """
     identity = Mat.identity(gens[0].ctx, gens[0].n)
-    seen = {identity.encode_canonical()}
+    seen = {identity}
     elements = [identity]
     frontier = [identity]
     rounds = 0
@@ -88,9 +98,8 @@ def set_closure(gens, cap):
         for g in gens:
             for m in frontier:
                 prod = m * g
-                key = prod.encode_canonical()
-                if key not in seen:
-                    seen.add(key)
+                if prod not in seen:
+                    seen.add(prod)
                     fresh.append(prod)
             if len(seen) > cap:
                 truncated = True

@@ -13,6 +13,7 @@ from classgen import Family, GroupSpec, cli, generator_pair, theoretical_order
 from classgen.cli import main
 from oracles import chunked_decimal
 from test_acceptance import CLOSURE_GRID
+from test_closure import hand_pair_of
 
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 # The benchmark's byte-exact `classgen gens` outputs; read here, never written.
@@ -208,6 +209,36 @@ def test_certify_indeterminate_with_cap(capsys):
     assert code == 4
     assert "truncated:  yes (cap 10000)" in out
     assert "verdict:    INDETERMINATE" in out
+
+
+def test_certify_fail_on_a_proper_subgroup_exits_1(capsys, monkeypatch):
+    hand_pair_of(monkeypatch, GroupSpec(Family.SL, 3, 3))
+    code, out, _ = run_main(capsys, ["certify", "--family", "gl", "--degree", "3", "--q", "3"])
+    assert code == 1
+    assert out == ("family:     gl\n"
+                   "degree:     3\n"
+                   "q:          3\n"
+                   "membership: ok\n"
+                   "expected:   11232\n"
+                   "size:       5616\n"
+                   "rounds:     21\n"
+                   "truncated:  no\n"
+                   "verdict:    FAIL\n")
+    hand_pair_of(monkeypatch, GroupSpec(Family.SU, 3, 3))
+    code, out, _ = run_main(capsys, ["certify", "--family", "gu", "--degree", "3", "--q", "3"])
+    assert code == 1
+    assert "expected:   24192\nsize:       6048\n" in out
+    assert out.endswith("verdict:    FAIL\n")
+
+
+def test_certify_fail_on_a_non_member_exits_1(capsys, monkeypatch):
+    hand_pair_of(monkeypatch, GroupSpec(Family.GL, 4, 3))
+    code, out, _ = run_main(capsys, ["certify", "--family", "sp", "--degree", "4",
+                                     "--q", "3", "--cap", "1000"])
+    assert code == 1
+    assert "membership: FAILED" in out
+    assert "truncated:  yes (cap 1000)" in out
+    assert out.endswith("verdict:    FAIL\n")
 
 
 def test_certify_invalid_cap(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import pkgutil
@@ -26,7 +27,7 @@ from classgen import (
     theoretical_order,
 )
 from classgen.enumeration import _decode, _dedup, _pack, _row_codes, _row_table
-from oracles import set_closure, term_by_term_order
+from oracles import brute_mat_order, set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
 
 GF3 = field_create(3, 1)
@@ -154,7 +155,7 @@ def test_group_elements_sl23():
     elems = group_elements(sl23_gens())
     assert len(elems) == 24
     assert elems[0] == Mat.identity(GF3, 2)
-    assert len({m.encode_canonical() for m in elems}) == 24
+    assert len(set(elems)) == 24
     for m in elems:
         assert is_member(SL23, m)
 
@@ -162,13 +163,13 @@ def test_group_elements_sl23():
 def test_group_elements_set_is_closed():
     """The returned set is closed under product and inverse."""
     elems = group_elements(sl23_gens())
-    keys = {m.encode_canonical() for m in elems}
+    keys = set(elems)
     for m in elems:
-        assert m.inverse().encode_canonical() in keys
+        assert m.inverse() in keys
     rng = random.Random(31)
     for _ in range(200):
         x, y = rng.choice(elems), rng.choice(elems)
-        assert (x * y).encode_canonical() in keys
+        assert x * y in keys
 
 
 def test_group_elements_exhaustive_match():
@@ -177,8 +178,8 @@ def test_group_elements_exhaustive_match():
     for entries in itertools.product(range(3), repeat=4):
         m = Mat.from_rows(GF3, [list(entries[:2]), list(entries[2:])])
         if m.det() == GF3.one:
-            expected.add(m.encode_canonical())
-    got = {m.encode_canonical() for m in group_elements(sl23_gens())}
+            expected.add(m)
+    got = set(group_elements(sl23_gens()))
     assert got == expected
 
 
@@ -209,6 +210,82 @@ def test_certify_with_small_cap_is_indeterminate():
 def test_certify_rejects_uncovered_parameters():
     with pytest.raises(UnsupportedParametersError):
         certify(GroupSpec(Family.SU, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Negative certifications: certify handed a pair that does not generate G
+# ---------------------------------------------------------------------------
+
+def hand_pair(monkeypatch, a, b):
+    """Make certify() build the pair (a, b) in place of the paper's pair."""
+    real = enumeration.generator_pair
+    monkeypatch.setattr(enumeration, "generator_pair",
+                        lambda spec: dataclasses.replace(real(spec), a=a, b=b))
+
+
+def hand_pair_of(monkeypatch, other):
+    """Make certify() build the paper's pair for the spec other."""
+    pair = generator_pair(other)
+    hand_pair(monkeypatch, pair.a, pair.b)
+
+
+# (spec, the spec whose pair it is handed, the order of the subgroup it generates)
+PROPER_SUBGROUPS = [
+    (GroupSpec(Family.GL, 3, 3), GroupSpec(Family.SL, 3, 3), 5616),  # index q - 1
+    (GroupSpec(Family.GU, 3, 3), GroupSpec(Family.SU, 3, 3), 6048),  # index q + 1
+]
+
+
+def _spec_ids(cases):
+    return [f"{spec.family.value}-{spec.degree}-{spec.q}" for spec, *_ in cases]
+
+
+@pytest.mark.parametrize("spec,other,size", PROPER_SUBGROUPS, ids=_spec_ids(PROPER_SUBGROUPS))
+def test_certify_fails_on_a_proper_subgroup(monkeypatch, spec, other, size):
+    hand_pair_of(monkeypatch, other)
+    cert = certify(spec)
+    assert cert.membership_ok is True
+    assert cert.expected_order == theoretical_order(spec)
+    assert (cert.closure.size, cert.closure.truncated) == (size, False)
+    assert cert.verdict is Verdict.FAIL
+
+
+def test_certify_fails_on_a_non_member_even_when_truncated(monkeypatch):
+    hand_pair_of(monkeypatch, GroupSpec(Family.GL, 4, 3))
+    cert = certify(GroupSpec(Family.SP, 4, 3), cap=1000)
+    assert cert.membership_ok is False
+    assert cert.closure.truncated is True
+    assert cert.verdict is Verdict.FAIL
+
+
+def test_certify_fails_on_a_non_member_when_the_closure_finishes(monkeypatch):
+    b = generator_pair(GroupSpec(Family.GL, 4, 3)).b
+    hand_pair(monkeypatch, b, b)
+    cert = certify(GroupSpec(Family.SP, 4, 3))
+    assert cert.membership_ok is False
+    assert cert.closure.truncated is False
+    assert cert.verdict is Verdict.FAIL
+
+
+# (spec, the order of the paper's generator a, which alone gives a cyclic group)
+CYCLIC = [
+    (GroupSpec(Family.GL, 3, 3), 2),
+    (GroupSpec(Family.SL, 3, 4), 3),
+    (GroupSpec(Family.SP, 4, 3), 2),
+    (GroupSpec(Family.GU, 3, 3), 8),
+    (GroupSpec(Family.SU, 4, 2), 3),
+]
+
+
+@pytest.mark.parametrize("spec,size", CYCLIC, ids=_spec_ids(CYCLIC))
+def test_certify_fails_on_the_pair_a_a(monkeypatch, spec, size):
+    a = generator_pair(spec).a
+    assert brute_mat_order(a) == size
+    hand_pair(monkeypatch, a, a)
+    cert = certify(spec)
+    assert cert.membership_ok is True
+    assert (cert.closure.size, cert.closure.truncated) == (size, False)
+    assert cert.verdict is Verdict.FAIL
 
 
 def test_verdict_values():
@@ -287,7 +364,9 @@ SL23_ELEMENT_BLOBS = [
 
 
 def test_group_elements_sl23_discovery_order():
-    blobs = [m.encode_canonical().hex() for m in group_elements(sl23_gens())]
+    # Each blob is the degree byte, then one byte per entry code, row by row.
+    blobs = [bytes([m.n, *(e.code for row in m.rows() for e in row)]).hex()
+             for m in group_elements(sl23_gens())]
     assert blobs == SL23_ELEMENT_BLOBS
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from classgen import (
@@ -11,6 +12,7 @@ from classgen import (
     generator_pair,
     is_member,
     parse_family,
+    theoretical_order,
 )
 
 # (family, degree, q) -> expected case label; one row per covered regime
@@ -76,6 +78,24 @@ def test_group_spec_validation():
         GroupSpec(Family.GL, 3, 1)
     with pytest.raises(ValueError, match="Family value"):
         GroupSpec("gl", 3, 5)
+    # Floats are refused even when integral: the exact order would become a float.
+    with pytest.raises(ValueError, match="q must be"):
+        GroupSpec(Family.GL, 3, 9.0)
+    with pytest.raises(ValueError, match="positive integer"):
+        GroupSpec(Family.SP, 4.0, 3)
+    with pytest.raises(ValueError, match="positive integer"):
+        GroupSpec(Family.GL, np.float64(3), 5)
+    with pytest.raises(ValueError, match="q must be"):
+        GroupSpec(Family.GL, 3, "5")
+    # numpy integers become Python ints, so the exact order cannot overflow.
+    spec = GroupSpec(Family.GL, np.int32(10), np.int64(4))
+    assert type(spec.degree) is int and type(spec.q) is int
+    assert spec == GroupSpec(Family.GL, 10, 4)
+    assert hash(spec) == hash(GroupSpec(Family.GL, 10, 4))
+    order = theoretical_order(spec)
+    assert type(order) is int
+    assert order == theoretical_order(GroupSpec(Family.GL, 10, 4))
+    assert 10**60 < order < 2 * 10**60
 
 
 # ---------------------------------------------------------------------------

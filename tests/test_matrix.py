@@ -285,51 +285,18 @@ def test_inverse_singular_raises():
 
 
 # ---------------------------------------------------------------------------
-# Canonical byte encoding
+# Equality and hashing: the set key of the closure oracle
 # ---------------------------------------------------------------------------
 
-def test_encode_golden_gf2():
-    assert list(Mat.identity(GF2, 2).encode_canonical()) == [2, 1, 0, 0, 1]
-
-
-def test_encode_golden_gf4():
-    # two base-2 digits per entry, constant term first
-    assert list(Mat.identity(GF4, 2).encode_canonical()) == [2, 1, 0, 0, 0, 0, 0, 1, 0]
-
-
 @pytest.mark.parametrize("ctx", [GF2, GF3], ids=lambda c: f"GF{c.q}")
-def test_encode_roundtrip_and_injective_exhaustive(ctx):
-    seen = set()
-    count = 0
-    for m in all_matrices(ctx, 2):
-        blob = m.encode_canonical()
-        assert Mat.decode_canonical(ctx, blob) == m
-        seen.add(blob)
-        count += 1
-    assert len(seen) == count == ctx.q ** 4
-
-
-def test_encode_roundtrip_random():
-    rng = random.Random(29)
-    for ctx in (GF4, GF8, GF9):
-        for n in (1, 3, 5):
-            m = random_mat(ctx, n, rng)
-            assert Mat.decode_canonical(ctx, m.encode_canonical()) == m
-
-
-def test_decode_rejects_malformed_input():
-    with pytest.raises(ValueError, match="empty"):
-        Mat.decode_canonical(GF3, b"")
-    with pytest.raises(ValueError, match="wrong length"):
-        Mat.decode_canonical(GF3, bytes([2, 1, 0, 0]))
-    with pytest.raises(ValueError, match="digit out of range"):
-        Mat.decode_canonical(GF3, bytes([2, 3, 0, 0, 1]))
-
-
-def test_encode_rejects_huge_degree():
-    big = Mat.identity(GF2, 256)
-    with pytest.raises(ValueError, match="255"):
-        big.encode_canonical()
+def test_eq_and_hash_separate_all_matrices_exhaustive(ctx):
+    """All q**4 matrices of degree 2 are distinct set keys with distinct
+    hashes, and each equals and hashes like its copy rebuilt from its rows."""
+    mats = list(all_matrices(ctx, 2))
+    assert len(set(mats)) == len({hash(m) for m in mats}) == len(mats) == ctx.q ** 4
+    for m in mats:
+        copy = Mat(ctx, [[e.code for e in row] for row in m.rows()])
+        assert copy == m and hash(copy) == hash(m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classgen import Family, GroupSpec, Mat, cli, field_create, generator_pair, is_member
+from classgen import Family, GroupSpec, cli, generator_pair, is_member
 from classgen.enumeration import ROW_CODE_LIMIT, _decode, _row_codes
 from classgen.gf import DEFAULT_FIELD_CAP
 
@@ -80,23 +80,6 @@ def entry_code_batches(draw):
 def test_row_codes_round_trip(batch):
     q, codes = batch
     assert np.array_equal(_decode(_row_codes(codes, q), q), codes)
-
-
-FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 8), (257, 1), (2, 20), (1021, 2)]
-
-
-@st.composite
-def matrices(draw):
-    ctx = field_create(*draw(st.sampled_from(FIELDS)))
-    n = draw(st.integers(1, 6))
-    flat = draw(st.lists(st.integers(0, ctx.q - 1), min_size=n * n, max_size=n * n))
-    return Mat(ctx, np.array(flat, dtype=np.int64).reshape(n, n))
-
-
-@PROPERTY
-@given(matrices())
-def test_canonical_encoding_round_trips(m):
-    assert Mat.decode_canonical(m.ctx, m.encode_canonical()) == m
 
 
 FAMILY_NAMES = ["gl", "sl", "sp", "gu", "su", "general linear", "special linear",
