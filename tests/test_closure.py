@@ -379,6 +379,11 @@ def _pair(family, degree, q):
     return [pair.a, pair.b]
 
 
+def _as_row_codes(elements):
+    """Each Mat's n row codes, as _python_closure lists its elements."""
+    return [tuple(_row_codes(m.codes, m.ctx.q).tolist()) for m in elements]
+
+
 @pytest.mark.parametrize("family,degree,q", [
     (family, degree, q) for family, degree, q, order in CLOSURE_GRID if order <= 6048])
 def test_closure_and_discovery_order_match_the_set_oracle(family, degree, q):
@@ -387,6 +392,7 @@ def test_closure_and_discovery_order_match_the_set_oracle(family, degree, q):
     got = closure(gens)
     assert (got.size, got.truncated, got.frontier_rounds) == want
     assert group_elements(gens) == elements
+    assert enumeration._python_closure(gens, DEFAULT_CAP) == (got, _as_row_codes(elements))
 
 
 @pytest.mark.parametrize("family,degree,q,cap", [
@@ -475,6 +481,110 @@ def test_dedup_merges_wide_keys_sharing_an_insertion_position():
     got = merged.tolist()
     assert all(a < b for a, b in zip(got, got[1:]))
     assert set(got) == set(_wide(old + batch).tolist())
+
+
+# ---------------------------------------------------------------------------
+# The pure-Python BFS that certify() runs on small groups, against closure()
+# and the set oracle
+# ---------------------------------------------------------------------------
+
+def _kernels_agree(gens, cap):
+    """Run both kernels; assert equal results and discovery orders, and
+    return the result and the order as row-code tuples."""
+    got, found = enumeration._python_closure(gens, cap)
+    want, frontiers = enumeration._closure_impl(gens, cap, collect=True)
+    assert got == want
+    assert found == list(map(tuple, np.concatenate(frontiers).tolist()))
+    return got, found
+
+
+@pytest.mark.parametrize("family,degree,q,order,cap", [
+    (*case, cap) for case in CLOSURE_GRID for cap in (1, 10, 100, 1000, DEFAULT_CAP)])
+def test_python_bfs_matches_closure_and_the_set_oracle_on_the_grid(family, degree, q, order, cap):
+    gens = _pair(family, degree, q)
+    got, found = _kernels_agree(gens, cap)
+    if cap == DEFAULT_CAP:
+        # test_closure_and_discovery_order_match_the_set_oracle runs the set
+        # oracle at the default cap on the groups it finishes quickly
+        assert (got.size, got.truncated) == (order, False)
+    else:
+        want, elements = set_closure(gens, cap)
+        assert (got.size, got.truncated, got.frontier_rounds) == want
+        assert found == _as_row_codes(elements)
+
+
+# (the spec whose paper pair is used, whether the pair is (a, a), the closure size)
+NEGATIVE_PAIRS = [(other, False, size) for _, other, size in PROPER_SUBGROUPS] + [
+    (spec, True, size) for spec, size in CYCLIC]
+
+
+@pytest.mark.parametrize("spec,a_a,size", NEGATIVE_PAIRS, ids=[
+    name + "-a-a" * a_a for name, (_, a_a, _) in zip(_spec_ids(NEGATIVE_PAIRS), NEGATIVE_PAIRS)])
+def test_python_bfs_matches_closure_and_the_set_oracle_on_negative_pairs(spec, a_a, size):
+    pair = generator_pair(spec)
+    gens = [pair.a, pair.a if a_a else pair.b]
+    got, found = _kernels_agree(gens, DEFAULT_CAP)
+    want, elements = set_closure(gens, DEFAULT_CAP)
+    assert (got.size, got.truncated, got.frontier_rounds) == want
+    assert got.size == size
+    assert found == _as_row_codes(elements)
+
+
+# Either side of PYTHON_BFS_MAX_ORDER: (spec, the kernel certify() runs)
+KERNEL_CHOICE = [
+    (GroupSpec(Family.SL, 2, 49), "_python_closure"),  # 117 600 elements
+    (GroupSpec(Family.GL, 2, 19), "closure"),          # 123 120 elements
+]
+
+
+@pytest.mark.parametrize("spec,kernel", KERNEL_CHOICE, ids=_spec_ids(KERNEL_CHOICE))
+def test_certify_picks_the_kernel_by_the_group_order(monkeypatch, spec, kernel):
+    pair = generator_pair(spec)
+    want, _ = _kernels_agree([pair.a, pair.b], DEFAULT_CAP)
+    calls = []
+    for name in ("closure", "_python_closure"):
+        def spy(*args, _name=name, _real=getattr(enumeration, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(enumeration, name, spy)
+    cert = certify(spec)
+    assert calls == [kernel]
+    assert cert.closure == want
+    assert cert.verdict is Verdict.PASS
+
+
+def test_certify_runs_closure_on_a_non_member_pair_of_a_small_group(monkeypatch):
+    hand_pair_of(monkeypatch, GroupSpec(Family.GL, 2, 5))  # GL(2,5) is not in SL(2,5)
+    monkeypatch.setattr(enumeration, "_python_closure", None)
+    cert = certify(GroupSpec(Family.SL, 2, 5))
+    assert cert.membership_ok is False
+    assert (cert.closure.size, cert.closure.truncated) == (480, False)
+    assert cert.verdict is Verdict.FAIL
+
+
+BAD_CAPS = [0, -1, float("inf"), float("nan"), 2.0]
+
+
+@pytest.mark.parametrize("cap", BAD_CAPS, ids=repr)
+def test_both_kernels_refuse_a_cap_that_is_not_a_positive_integer(cap):
+    for kernel in (closure, enumeration._python_closure):
+        with pytest.raises(ValueError, match="positive integer"):
+            kernel(sl23_gens(), cap)
+
+
+@pytest.mark.parametrize("cap", BAD_CAPS, ids=repr)
+def test_certify_refuses_a_bad_cap_before_building_the_pair(monkeypatch, cap):
+    def no_pair(spec):
+        raise AssertionError("generator_pair was called")
+
+    monkeypatch.setattr(enumeration, "generator_pair", no_pair)
+    with pytest.raises(ValueError, match="positive integer"):
+        certify(SL23, cap=cap)
+
+
+def test_a_numpy_integer_cap_is_an_integer():
+    assert certify(SL23, cap=np.int64(10)) == certify(SL23, cap=10)
+    assert closure(sl23_gens(), cap=np.uint8(10)) == closure(sl23_gens(), cap=10)
 
 
 def test_no_package_attribute_shadows_a_submodule():

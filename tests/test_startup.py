@@ -1,5 +1,7 @@
-"""The package imports lazily, and only the closure loads numpy: no command
-line path but a certify run that passes its parameter checks imports it."""
+"""The package imports lazily, and only the numpy closure loads numpy: no
+command line path imports it but a certify run that passes its parameter
+checks and either has a non-member generator or a group order above
+enumeration.PYTHON_BFS_MAX_ORDER."""
 
 import ast
 import importlib
@@ -67,6 +69,9 @@ NUMPY_FREE = {
     "exit 3": (["order", "--family", "gl", "--degree", "0", "--q", str(2**40 + 1)], 3),
     "closure limit": (["certify", "--family", "gl", "--degree", "27", "--q", "1048576"], 3),
     "cap below 1": (["certify", "--family", "sl", "--degree", "2", "--q", "3", "--cap", "0"], 3),
+    "certify": (["certify", "--family", "gl", "--degree", "3", "--q", "3"], 0),
+    "certify truncated": (["certify", "--family", "gu", "--degree", "4", "--q", "2",
+                           "--cap", "10000"], 4),
     "field limit": (["gens", "--family", "gu", "--degree", "3", "--q", "2048"], 3),
     "gens json": (["gens", "--family", "sp", "--degree", "4", "--q", "3"], 0),
     "gens json form": (["gens", "--family", "sp", "--degree", "4", "--q", "3", "--emit-form"], 0),
@@ -80,20 +85,32 @@ NUMPY_FREE = {
 }
 
 
-@pytest.mark.parametrize("case", list(NUMPY_FREE))
-def test_numpy_is_not_imported(case):
-    if NUMPY_FREE[case] is None:
+def _exit_code_and_numpy_loaded(argv) -> str:
+    """'<exit code> <whether numpy was imported>' of main(argv) in a fresh
+    interpreter; argv None only imports classgen."""
+    if argv is None:
         script = "import sys\nimport classgen\ncode = 0\n"
-        want = 0
     else:
-        argv, want = NUMPY_FREE[case]
         script = ("import sys\nfrom classgen.cli import main\n"
                   f"try:\n    code = main({argv!r})\n"
                   "except SystemExit as exc:\n    code = exc.code\n")
     script += "print(code, 'numpy' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=REPO_ENV, timeout=30)
-    assert proc.stdout.splitlines()[-1] == f"{want} False", proc.stderr
+    assert proc.stdout, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("case", list(NUMPY_FREE))
+def test_numpy_is_not_imported(case):
+    argv, want = NUMPY_FREE[case] or (None, 0)
+    assert _exit_code_and_numpy_loaded(argv) == f"{want} False"
+
+
+def test_certify_above_the_python_bfs_order_loads_numpy():
+    # |SL(3,5)| = 372 000 > PYTHON_BFS_MAX_ORDER: the numpy closure runs
+    argv = ["certify", "--family", "sl", "--degree", "3", "--q", "5"]
+    assert _exit_code_and_numpy_loaded(argv) == "0 True"
 
 
 def _import_time_imports(path: Path):
@@ -137,12 +154,13 @@ def test_spec_and_cli_import_no_matrix_module_at_import_time(module, allowed):
     assert not {m for m in imported if m.split(".")[0] == "numpy"}
 
 
-# The modules gens runs: they may import numpy only inside the functions that
-# build arrays for the closure (FieldCtx.digits, FieldCtx.tables, Mat.codes).
+# The modules gens runs, and enumeration, which certify runs: they may import
+# numpy only inside the functions that build or search arrays for the numpy
+# closure (FieldCtx.digits, FieldCtx.tables, Mat.codes and the closure's own).
 GENS_MODULES = ("gf", "matrix", "atoms", "forms", "families")
 
 
-@pytest.mark.parametrize("module", GENS_MODULES)
+@pytest.mark.parametrize("module", [*GENS_MODULES, "enumeration"])
 def test_gens_modules_import_no_numpy_at_import_time(module):
     imported = set(_import_time_imports(PACKAGE / f"{module}.py"))
     assert not {m for m in imported if m.split(".")[0] == "numpy"}
