@@ -35,7 +35,7 @@ and discovery order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
@@ -56,15 +56,13 @@ class Verdict(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     size: int
     truncated: bool
     frontier_rounds: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     spec: GroupSpec
     membership_ok: bool
     expected_order: int

@@ -29,7 +29,7 @@ power are unsupported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from classgen.atoms import (
     DualKind,
@@ -70,8 +70,7 @@ from classgen.spec import (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorPair:
+class GeneratorPair(NamedTuple):
     a: Mat
     b: Mat
     spec: GroupSpec

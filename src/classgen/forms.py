@@ -10,7 +10,7 @@ conj(X)^T J X = J.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from classgen.gf import FieldCtx, FieldElem, frobenius
 from classgen.matrix import Mat
@@ -21,8 +21,7 @@ class FormKind(enum.Enum):
     UNITARY = "unitary"
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(NamedTuple):
     kind: FormKind
     dim: int
     j: Mat

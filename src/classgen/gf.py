@@ -10,6 +10,13 @@ lexicographically least element of multiplicative order exactly q - 1.
 Both comparisons read coefficient tuples constant term first.  Two calls of
 field_create with equal (p, k) therefore return identical contexts.
 
+Both walks decide each candidate exactly, by tests faster than the
+definitions: irreducibility by Ben-Or's test (gcd(t**(p**i) - t, f) = 1 for
+i <= k/2), and, for each prime r | p - 1, the order test
+a**((q-1)/r) != 1 by the norm test N(a)**((p-1)/r) != 1 in GF(p) (Lidl and
+Niederreiter, Finite Fields, section 2.3), with N(a) taken through the
+Frobenius matrix.
+
 Scalar arithmetic works on coefficient lists.  The closure's row tables
 contract digit arrays with the structure constants of FieldCtx.tables; those
 two methods are the only ones that load numpy.
@@ -20,11 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
+import operator
 
 # DEFAULT_FIELD_CAP lives in the numpy-free spec module; importing it here
 # keeps classgen.gf.DEFAULT_FIELD_CAP working.
-from classgen.spec import DEFAULT_FIELD_CAP, _prime_factors, check_field_size
+from classgen.spec import DEFAULT_FIELD_CAP, _as_int, _prime_factors, check_field_size
 
 
 def _is_prime(n: int) -> bool:
@@ -52,28 +59,51 @@ def _poly_mulmod(a: list[int], b: list[int], mod_low: tuple[int, ...], p: int, k
     return prod[:k]
 
 
+def _poly_power(a: list[int], e: int, mod_low: tuple[int, ...], p: int, k: int) -> list[int]:
+    """a**e reduced by the monic modulus whose low coefficients are mod_low."""
+    out = [1] + [0] * (k - 1)
+    for bit in bin(e)[2:]:  # square-and-multiply, high bit first
+        out = _poly_mulmod(out, out, mod_low, p, k)
+        if bit == "1":
+            out = _poly_mulmod(out, a, mod_low, p, k)
+    return out
+
+
 def _poly_rem(f: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of f by the monic polynomial g (both constant term first)."""
+    """Remainder of f by g (both constant term first; g's last coefficient nonzero)."""
     r = list(f)
     dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    low = [(i, c) for i, c in enumerate(g[:dg]) if c]
     for d in range(len(r) - 1, dg - 1, -1):
-        c = r[d]
+        c = r[d] * inv % p
         if c:
             r[d] = 0
-            for i in range(dg):
-                r[d - dg + i] = (r[d - dg + i] - c * g[i]) % p
+            for i, gi in low:
+                r[d - dg + i] = (r[d - dg + i] - c * gi) % p
     return r[:dg]
 
 
+def _trim(a: list[int]) -> list[int]:
+    """a without its leading zero coefficients."""
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
+
+
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Trial division of monic f (f(0) != 0) by each monic g, g(0) != 0, deg g <= deg(f)/2."""
+    """Ben-Or's test of monic f of degree k >= 2: f is irreducible exactly
+    when gcd(t**(p**i) - t, f) = 1 for every i = 1 .. k // 2."""
     k = len(f) - 1
-    fl = list(f)
-    for d in range(1, k // 2 + 1):
-        for low in itertools.product(range(1, p), *[range(p)] * (d - 1)):
-            g = list(low) + [1]
-            if not any(_poly_rem(fl, g, p)):
-                return False
+    mod_low, fl = f[:k], list(f)
+    h = [0, 1] + [0] * (k - 2)  # t
+    for _ in range(k // 2):
+        h = _poly_power(h, p, mod_low, p, k)
+        a, b = fl, _trim([h[0], (h[1] - 1) % p, *h[2:]])
+        while b:  # Euclid: a ends as gcd(h - t, f), up to a unit
+            a, b = b, _trim(_poly_rem(a, b, p))
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -129,26 +159,29 @@ class FieldCtx:
             raise ValueError(f"coefficient vector longer than extension degree {self.k}")
         code = 0
         for c in reversed(list(coeffs)):
-            code = code * self.p + (int(c) % self.p)
+            code = code * self.p + operator.index(c) % self.p
         return code
 
     def from_code(self, code: int) -> "FieldElem":
+        code = operator.index(code)
         if not 0 <= code < self.q:
             raise ValueError(f"element code {code} out of range [0, {self.q})")
-        return FieldElem(self, int(code))
+        return FieldElem(self, code)
 
     def elem(self, x) -> "FieldElem":
         """Coerce x to a field element.
 
         Integers embed through the prime subfield (x mod p); sequences are
-        read as coefficient vectors, constant term first.
+        read as coefficient vectors, constant term first.  Floats are
+        refused, as scalars and as coefficients (TypeError).
         """
         if isinstance(x, FieldElem):
             if x.ctx != self:
                 raise ValueError("element belongs to a different field")
             return x
-        if isinstance(x, numbers.Integral):
-            return FieldElem(self, int(x) % self.p)
+        code = _as_int(x)
+        if code is not None:
+            return FieldElem(self, code % self.p)
         if isinstance(x, (list, tuple)):
             return FieldElem(self, self.coeffs_to_code(x))
         raise TypeError(f"cannot coerce {type(x).__name__} to a field element")
@@ -210,14 +243,9 @@ class FieldCtx:
             e = -e
         if a == 0:
             return 1 if e == 0 else 0
-        e %= self.q - 1
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul_code(out, base)
-            base = self.mul_code(base, base)
-            e >>= 1
-        return out
+        coeffs = _poly_power(list(self.code_to_coeffs(a)), e % (self.q - 1),
+                             self.modulus[: self.k], self.p, self.k)
+        return self.coeffs_to_code(coeffs)
 
     def subfield_order(self) -> int:
         """q0 with q = q0**2, for the conjugation x -> x**q0."""
@@ -294,9 +322,8 @@ class FieldElem:
             if other.ctx != self.ctx:
                 raise ValueError("mixed fields in arithmetic")
             return other.code
-        if isinstance(other, numbers.Integral):
-            return int(other) % self.ctx.p
-        return None
+        code = _as_int(other)
+        return None if code is None else code % self.ctx.p
 
     def __add__(self, other):
         c = self._coerce(other)
@@ -347,9 +374,10 @@ class FieldElem:
     def __eq__(self, other):
         if isinstance(other, FieldElem):
             return self.ctx == other.ctx and self.code == other.code
-        if isinstance(other, numbers.Integral):
-            return self.code == int(other) % self.ctx.p
-        return NotImplemented
+        code = _as_int(other)
+        if code is None:
+            return NotImplemented
+        return self.code == code % self.ctx.p
 
     def __hash__(self):
         return hash((self.ctx.q, self.code))
@@ -362,24 +390,47 @@ class FieldElem:
 
 
 def _least_primitive(ctx: FieldCtx) -> int:
-    """Code of the lexicographically least element of order exactly q - 1."""
+    """Code of the lexicographically least element of order exactly q - 1.
+
+    a has order q - 1 when a**((q - 1) / r) != 1 for each prime r | q - 1.
+    For r | p - 1 that power equals N(a)**((p - 1) / r), where the norm
+    N(a) = a * a**p * ... * a**(p**(k-1)) lies in GF(p), so those primes
+    cost one product of k conjugates and a pow mod p; the other primes pay
+    square-and-multiply, and only for candidates that pass the norm test.
+    For p = 2 no prime divides p - 1 and every prime pays square-and-multiply.
+    """
     p, k, q = ctx.p, ctx.k, ctx.q
     mod_low = ctx.modulus[:k]
     one = [1] + [0] * (k - 1)
-    checks = [(q - 1) // r for r in _prime_factors(q - 1)]
+    primes = _prime_factors(q - 1)
+    norm_checks = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+    checks = [(q - 1) // r for r in primes if (p - 1) % r]
+    frob = [one]  # column j of the Frobenius matrix: the coefficients of (t**j)**p
+    if norm_checks and k > 1:
+        t_p = _poly_power([0, 1] + [0] * (k - 2), p, mod_low, p, k)
+        for _ in range(k - 1):
+            frob.append(_poly_mulmod(frob[-1], t_p, mod_low, p, k))
 
-    def power(a: list[int], e: int) -> list[int]:
-        out = one
-        for bit in bin(e)[2:]:  # square-and-multiply, high bit first
-            out = _poly_mulmod(out, out, mod_low, p, k)
-            if bit == "1":
-                out = _poly_mulmod(out, a, mod_low, p, k)
-        return out
+    def norm(a: list[int]) -> int:
+        out = conj = a
+        for _ in range(k - 1):
+            nxt = [0] * k  # conj**p: the Frobenius matrix times conj
+            for c, col in zip(conj, frob):
+                if c:
+                    for i, x in enumerate(col):
+                        nxt[i] += c * x
+            conj = [x % p for x in nxt]
+            out = _poly_mulmod(out, conj, mod_low, p, k)
+        return out[0]
 
     # With c0 as its leading base-p digit, m walks the tuples in lexicographic order.
     for m in range(1, q):
-        coeffs = ctx.code_to_coeffs(m)[::-1]
-        if all(power(list(coeffs), e) != one for e in checks):
+        coeffs = list(ctx.code_to_coeffs(m)[::-1])
+        if norm_checks:
+            n = norm(coeffs)
+            if any(pow(n, e, p) == 1 for e in norm_checks):
+                continue
+        if all(_poly_power(coeffs, e, mod_low, p, k) != one for e in checks):
             return ctx.coeffs_to_code(coeffs)
     raise AssertionError(f"no primitive element found in GF({q})")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_Q = 2**40
 DEFAULT_CAP = 2_000_000
@@ -59,27 +59,36 @@ def _as_int(x) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _SpecFields(NamedTuple):
     family: Family
     degree: int
     q: int
 
-    def __post_init__(self):
-        if not isinstance(self.family, Family):
+
+class GroupSpec(_SpecFields):
+    """A validated (family, degree, q): an immutable named tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, degree: int, q: int):
+        if not isinstance(family, Family):
             raise ValueError("family must be a Family value")
         # Store Python ints: a numpy integer would overflow in theoretical_order,
         # and a float would turn the exact order into a float.
-        degree, q = _as_int(self.degree), _as_int(self.q)
-        if degree is None or degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        if q is None or q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "q", q)
-        if self.q > MAX_Q:
+        degree_int, q_int = _as_int(degree), _as_int(q)
+        if degree_int is None or degree_int < 1:
+            raise ValueError(f"degree must be a positive integer, got {degree}")
+        if q_int is None or q_int < 2:
+            raise ValueError(f"q must be an integer >= 2, got {q}")
+        if q_int > MAX_Q:
             # Factoring q by trial division takes about 0.1 s at this bound.
-            raise ValueError(f"q = {self.q} exceeds the limit 2**40")
+            raise ValueError(f"q = {q_int} exceeds the limit 2**40")
+        return super().__new__(cls, family, degree_int, q_int)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; validate there too.
+        return cls(*iterable)
 
 
 def _prime_factors(n: int) -> list[int]:

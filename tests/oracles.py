@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: multiplicative orders by
 repeated multiplication, determinants by cofactor expansion, counting group
 elements by exhaustive filtering, the breadth-first closure by Mat
 products in a Python set instead of row tables and sorted packed keys, group
-orders by multiplying the unfactored terms left to right, and decimal
-digits by dividing off 1000 digits at a time.
+orders by multiplying the unfactored terms left to right, decimal digits by
+dividing off 1000 digits at a time, and the field construction by trial
+division and one exponentiation per prime factor of q - 1.
 """
 
 from __future__ import annotations
@@ -135,3 +136,75 @@ def chunked_decimal(n: int) -> str:
         n, r = divmod(n, chunk)
         parts.append(f"{r:01000d}")
     return str(n) + "".join(reversed(parts))
+
+
+def _rem(f, g, p):
+    """Remainder of f by the monic g over GF(p), constant term first."""
+    f = list(f)
+    dg = len(g) - 1
+    for top in range(len(f) - 1, dg - 1, -1):
+        c = f[top] % p
+        if c:
+            for i, gc in enumerate(g):
+                f[top - dg + i] = (f[top - dg + i] - c * gc) % p
+    return [c % p for c in f[:dg]]
+
+
+def _nonzero_constant(p, k):
+    """Coefficient tuples of length k with a nonzero constant term, in
+    lexicographic order."""
+    return itertools.product(range(1, p), *[range(p)] * (k - 1))
+
+
+def trial_division_irreducible(f, p) -> bool:
+    """Monic f (constant term first, f(0) != 0) has no monic factor of
+    degree 1 .. deg(f)/2; such a factor has a nonzero constant term."""
+    k = len(f) - 1
+    return all(any(_rem(f, list(low) + [1], p))
+               for d in range(1, k // 2 + 1) for low in _nonzero_constant(p, d))
+
+
+def _prime_divisors(n):
+    """Distinct prime factors of n, by trial division."""
+    out = []
+    for r in range(2, n + 1):
+        if r * r > n:
+            return out + [n] * (n > 1)
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+    return out
+
+
+def reference_field(p, k):
+    """(modulus, xi coefficients) of GF(p^k) by definition: the first monic
+    irreducible and the first element of order q - 1 in the lexicographic
+    walks, coefficient tuples read constant term first.  A modulus with a
+    zero constant term is divisible by t, so the first walk skips those."""
+    modulus = next(low + (1,) for low in _nonzero_constant(p, k)
+                   if trial_division_irreducible(low + (1,), p))
+    q = p**k
+    one = [1] + [0] * (k - 1)
+
+    def mul(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        return _rem(prod, modulus, p)
+
+    def power(a, e):
+        out = one
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a = mul(a, a)
+            e >>= 1
+        return out
+
+    checks = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    for coeffs in itertools.product(range(p), repeat=k):
+        if any(coeffs) and all(power(list(coeffs), e) != one for e in checks):
+            return modulus, coeffs
+    raise AssertionError(f"no primitive element in GF({q})")

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import itertools
 import pkgutil
@@ -220,7 +219,7 @@ def hand_pair(monkeypatch, a, b):
     """Make certify() build the pair (a, b) in place of the paper's pair."""
     real = enumeration.generator_pair
     monkeypatch.setattr(enumeration, "generator_pair",
-                        lambda spec: dataclasses.replace(real(spec), a=a, b=b))
+                        lambda spec: real(spec)._replace(a=a, b=b))
 
 
 def hand_pair_of(monkeypatch, other):

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from classgen import (
+    Certificate,
+    ClosureResult,
     Family,
+    FormKind,
+    GeneratorPair,
+    GramForm,
     GroupSpec,
     Mat,
     UnsupportedParametersError,
+    Verdict,
     case_label,
     elem_h,
     field_for,
@@ -96,6 +102,63 @@ def test_group_spec_validation():
     assert type(order) is int
     assert order == theoretical_order(GroupSpec(Family.GL, 10, 4))
     assert 10**60 < order < 2 * 10**60
+
+
+def test_group_spec_validates_keywords_and_replace():
+    spec = GroupSpec(family=Family.GL, degree=np.int64(3), q=np.int32(5))
+    assert spec == (Family.GL, 3, 5)
+    assert type(spec.degree) is int and type(spec.q) is int
+    assert spec._replace(q=np.int64(7)) == GroupSpec(Family.GL, 3, 7)
+    assert type(spec._replace(q=np.int64(7)).q) is int
+    with pytest.raises(ValueError, match="q must be"):
+        spec._replace(q=9.0)
+    with pytest.raises(ValueError, match="positive integer"):
+        spec._replace(degree=0)
+    with pytest.raises(ValueError, match="positive integer"):
+        GroupSpec(family=Family.GL, degree=2.0, q=5)
+    with pytest.raises(ValueError, match="Family value"):
+        spec._replace(family="gl")
+
+
+def _record_and_variant(kind: str):
+    """A record built from keyword arguments, an equal one built separately,
+    and one that differs in one field."""
+    spec = GroupSpec(family=Family.SP, degree=4, q=3)
+    if kind == "GroupSpec":
+        return (spec, GroupSpec(family=Family.SP, degree=4, q=3),
+                GroupSpec(family=Family.SP, degree=4, q=5))
+    if kind == "GeneratorPair":
+        pair, twin = generator_pair(spec), generator_pair(GroupSpec(Family.SP, 4, 3))
+        record = GeneratorPair(a=pair.a, b=pair.b, spec=spec, ctx=pair.ctx,
+                               case_label=pair.case_label)
+        return record, twin, record._replace(b=pair.a)
+    if kind == "GramForm":
+        ctx = field_for(spec)  # GF(3): code 2 is -1
+        record = GramForm(kind=FormKind.SYMPLECTIC, dim=2, j=Mat(ctx, [[0, 1], [2, 0]]))
+        return (record, GramForm(FormKind.SYMPLECTIC, 2, Mat(ctx, [[0, 1], [2, 0]])),
+                record._replace(j=Mat.identity(ctx, 2)))
+    result = ClosureResult(size=51840, truncated=False, frontier_rounds=12)
+    if kind == "ClosureResult":
+        return result, ClosureResult(51840, False, 12), result._replace(truncated=True)
+    record = Certificate(spec=spec, membership_ok=True, expected_order=51840,
+                         closure=result, verdict=Verdict.PASS)
+    return (record, Certificate(spec, True, 51840, ClosureResult(51840, False, 12), Verdict.PASS),
+            record._replace(verdict=Verdict.INDETERMINATE))
+
+
+@pytest.mark.parametrize("kind", ["GroupSpec", "GeneratorPair", "GramForm", "ClosureResult",
+                                  "Certificate"])
+def test_records_are_immutable_values(kind):
+    record, twin, variant = _record_and_variant(kind)
+    assert type(record).__name__ == kind
+    assert record == twin and hash(record) == hash(twin) and record is not twin
+    assert record != variant
+    assert type(record)(**record._asdict()) == record
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from classgen import (
     frobenius,
     poly_string,
 )
-from classgen.gf import _is_prime
-from oracles import brute_order
+from classgen.gf import _is_irreducible, _is_prime
+from oracles import brute_order, reference_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
 
@@ -108,7 +108,41 @@ def test_modulus_matches_sympy_scan(p, k):
     raise AssertionError("no irreducible candidate found")
 
 
-@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(2, 5), (3, 3)])
+BEN_OR_CASES = [(p, k) for p in (2, 3) for k in range(2, 7)] + [
+    (p, k) for p in (5, 7) for k in range(2, 5)]
+
+
+@pytest.mark.parametrize("p,k", BEN_OR_CASES)
+def test_is_irreducible_matches_sympy(p, k):
+    """Ben-Or's test agrees with sympy on every monic polynomial of degree k
+    with a nonzero constant term, the candidates the modulus walk tries.
+    Among them, t^4 + t^2 + 1 = (t^2 + t + 1)^2 over GF(2) has no root, so
+    only the i = 2 step (gcd(t^4 - t, f) = t^2 + t + 1) rejects it."""
+    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+        f = (*low, 1)
+        assert _is_irreducible(f, p) == gf_irreducible_p(list(reversed(f)), p, ZZ), f
+
+
+EXTENSION_FIELDS = [(p, k) for p in range(2, 257) for k in range(2, 17)
+                    if _is_prime(p) and p**k <= 2**16]
+
+
+def test_construction_matches_the_reference_search():
+    """Modulus and xi of every extension field up to 2^16 elements equal those
+    of the search by definition: trial division, and one exponentiation for
+    each prime factor of q - 1."""
+    from classgen.gf import _field_create_cached
+
+    assert len(EXTENSION_FIELDS) == 93
+    for p, k in EXTENSION_FIELDS:
+        ctx = _field_create_cached.__wrapped__(p, k)
+        assert (ctx.modulus, ctx.xi.coeffs) == reference_field(p, k), (p, k)
+
+
+# (7, 2), (11, 2), (13, 2), (31, 2) and (7, 3) have k > 1 and several primes
+# dividing p - 1, so the norm test decides most candidates.
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(2, 5), (3, 3), (7, 2), (11, 2), (13, 2),
+                                                 (31, 2), (7, 3)])
 def test_xi_is_least_primitive(p, k):
     """xi has order q - 1 and nothing lexicographically below it does."""
     ctx = field_create(p, k)
@@ -203,6 +237,17 @@ def test_elem_coercion_paths():
         ctx.elem("t")
     with pytest.raises(ValueError, match="longer than"):
         ctx.elem((1, 2, 1))
+    # Coefficients and codes must be integers: a float is refused, even an
+    # integral one, as for scalars and Mat entries.
+    for bad in ([1.5, 2], (1.0, 2), [1, np.float64(2)]):
+        with pytest.raises(TypeError):
+            ctx.elem(bad)
+        with pytest.raises(TypeError):
+            ctx.coeffs_to_code(bad)
+    with pytest.raises(TypeError):
+        ctx.from_code(3.0)
+    assert ctx.elem([np.int64(1), 2]).code == ctx.from_code(np.int32(7)).code == 7
+    assert ctx.one != 1.0
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])

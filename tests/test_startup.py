@@ -1,7 +1,8 @@
 """The package imports lazily, and only the numpy closure loads numpy: no
 command line path imports it but a certify run that passes its parameter
 checks and either has a non-member generator or a group order above
-enumeration.PYTHON_BFS_MAX_ORDER."""
+enumeration.PYTHON_BFS_MAX_ORDER.  The records are named tuples, so no
+path loads dataclasses (which pulls in inspect, ast, dis and tokenize)."""
 
 import ast
 import importlib
@@ -86,15 +87,17 @@ NUMPY_FREE = {
 
 
 def _exit_code_and_numpy_loaded(argv) -> str:
-    """'<exit code> <whether numpy was imported>' of main(argv) in a fresh
-    interpreter; argv None only imports classgen."""
+    """'<exit code> <whether numpy was imported> <whether dataclasses or
+    inspect was imported>' of main(argv) in a fresh interpreter; argv None
+    only imports classgen."""
     if argv is None:
         script = "import sys\nimport classgen\ncode = 0\n"
     else:
         script = ("import sys\nfrom classgen.cli import main\n"
                   f"try:\n    code = main({argv!r})\n"
                   "except SystemExit as exc:\n    code = exc.code\n")
-    script += "print(code, 'numpy' in sys.modules)\n"
+    script += ("print(code, 'numpy' in sys.modules,\n"
+               "      not {'dataclasses', 'inspect'}.isdisjoint(sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=REPO_ENV, timeout=30)
     assert proc.stdout, proc.stderr
@@ -104,13 +107,13 @@ def _exit_code_and_numpy_loaded(argv) -> str:
 @pytest.mark.parametrize("case", list(NUMPY_FREE))
 def test_numpy_is_not_imported(case):
     argv, want = NUMPY_FREE[case] or (None, 0)
-    assert _exit_code_and_numpy_loaded(argv) == f"{want} False"
+    assert _exit_code_and_numpy_loaded(argv) == f"{want} False False"
 
 
 def test_certify_above_the_python_bfs_order_loads_numpy():
     # |SL(3,5)| = 372 000 > PYTHON_BFS_MAX_ORDER: the numpy closure runs
     argv = ["certify", "--family", "sl", "--degree", "3", "--q", "5"]
-    assert _exit_code_and_numpy_loaded(argv) == "0 True"
+    assert _exit_code_and_numpy_loaded(argv).startswith("0 True ")
 
 
 def _import_time_imports(path: Path):
@@ -166,3 +169,20 @@ def test_gens_modules_import_no_numpy_at_import_time(module):
     assert not {m for m in imported if m.split(".")[0] == "numpy"}
     assert {m for m in imported if m.split(".")[0] == "classgen"} <= {
         f"classgen.{m}" for m in ("spec", *GENS_MODULES)}
+
+
+def test_no_module_imports_dataclasses():
+    # The records are named tuples; importing dataclasses costs a cold run
+    # 10-20 ms for inspect, ast, dis and tokenize.  Function bodies count too.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
