@@ -5,7 +5,9 @@ the frontier by each generator.  A matrix is held as its n row codes: the
 row with entry codes (c_0, ..., c_{n-1}) has code c_0 + c_1*q + ... +
 c_{n-1}*q**(n-1) in [0, q**n).  Row i of M*g is (row i of M)*g, so each
 generator g gets a table T_g of length q**n mapping v to v*g, and the
-product of a whole frontier is the single gather T_g[frontier].  A
+product of a whole frontier is the single gather T_g[frontier].  Both
+kernels build T_g from _action(g), the GF(p)-matrix of v -> v*g, worked
+out once with the field's scalar product.  A
 matrix's key packs its row codes, b = (q**n - 1).bit_length() bits each,
 into w = ceil(n*b/64) 64-bit words and is one scalar: a uint64 when w = 1
 (every degree n <= 3), otherwise 8*w raw bytes, sorted bytewise.  The
@@ -17,7 +19,7 @@ search stops when the frontier empties (exact count) or the visited set
 grows past the cap (truncated).  The result depends only on the generator
 set, not on ordering or duplicates.  The tables limit closure to
 q**n <= 2**20 (ROW_CODE_LIMIT), checked before any work.  numpy is
-imported inside the functions that use it, so importing this module does
+imported inside closure() and its helpers, so importing this module does
 not load it.
 
 certify() combines the membership predicates, the exact theoretical order
@@ -28,8 +30,9 @@ generators are members, the search visits at most |G| elements, and for
 |G| <= PYTHON_BFS_MAX_ORDER certify() runs _python_closure instead: the
 same search with Python-list row tables and a Python set of row-code
 tuples, which needs no numpy.  Such a small group is enumerated in less
-time than numpy takes to import.  Both kernels give the same ClosureResult
-and discovery order.
+time than numpy takes to import.  Both kernels give the same ClosureResult.
+group_elements() reads its discovery order from _python_closure, so only
+closure() loads numpy.
 """
 
 from __future__ import annotations
@@ -95,18 +98,29 @@ def _prepare(gens: list[Mat], cap) -> tuple:
     return ctx, n, cap
 
 
+def _action(g: Mat) -> list[list[int]]:
+    """The (n*k, n*k) matrix over GF(p) of v -> v*g on the base-p digits of
+    a row code.
+
+    Digit l*k + s of v is coefficient s of entry l, so row (l, s) holds the
+    digits of t**s times row l of g.
+    """
+    ctx = g.ctx
+    return [[d for e in row for d in ctx.code_to_coeffs(ctx.mul_code(ctx.p**s, e.code))]
+            for row in g.rows() for s in range(ctx.k)]
+
+
 def _row_table(g: Mat):
     """T with T[v] = v*g for every row code v in [0, q**n), as an ndarray.
 
-    A row code has n*k base-p digits and v -> v*g is an (n*k, n*k) matrix
-    over GF(p).  Each output digit column doubles over the input digits: the
-    codes with top digit c at m are c * p**m plus the codes below p**m.
+    Each output digit column of _action(g) doubles over the input digits:
+    the codes with top digit c at m are c * p**m plus the codes below p**m.
     """
     import numpy as np
 
     ctx, n = g.ctx, g.n
     p, nk = ctx.p, n * ctx.k
-    action = (np.einsum("ljt,stu->lsju", ctx.digits(g.codes), ctx.tables()) % p).reshape(nk, nk)
+    action = _action(g)
     size = ctx.q**n
     dtype = np.min_scalar_type(size - 1)
     table = np.zeros(size, dtype=dtype)
@@ -114,24 +128,29 @@ def _row_table(g: Mat):
     for out in range(nk):
         col = np.zeros(1, dtype=col_dtype)
         for m in range(nk):
-            col = ((np.arange(p) * action[m, out] % p).astype(col_dtype)[:, None] + col).ravel()
+            col = ((np.arange(p) * action[m][out] % p).astype(col_dtype)[:, None] + col).ravel()
         table += (col % p).astype(dtype) * dtype.type(p**out)
     return table
 
 
-def _row_codes(codes, q: int):
-    """Row codes of (..., n, n) entry codes: entry j of a row is base-q digit j."""
-    import numpy as np
+def _python_row_table(g: Mat) -> list[int]:
+    """_row_table(g) as a list, built in pure Python by the same doubling.
 
-    return codes @ (q ** np.arange(codes.shape[-1], dtype=np.int64))
-
-
-def _decode(rows, q: int):
-    """Entry codes of (..., n) row codes; the inverse of _row_codes."""
-    import numpy as np
-
-    powers = q ** np.arange(rows.shape[-1], dtype=np.int64)
-    return rows[..., None].astype(np.int64) // powers % q
+    certify() sends here only specs with q**n <= 4096; at q**n = 2**20 the
+    list loop takes seconds where numpy takes a tenth of one.
+    """
+    ctx, n = g.ctx, g.n
+    p, nk = ctx.p, n * ctx.k
+    action = _action(g)
+    table = [0] * ctx.q**n
+    for out in range(nk):
+        col = [0]
+        for m in range(nk):
+            a = action[m][out]
+            col = [(c * a + x) % p for c in range(p) for x in col]
+        weight = p**out
+        table = [t + d * weight for t, d in zip(table, col)]
+    return table
 
 
 def _pack(rows, bits: int):
@@ -157,72 +176,19 @@ def _pack(rows, bits: int):
 
 
 def _dedup(visited, keys):
-    """Merge keys into visited; return it and the indices of the new keys.
+    """Merge keys into visited; return it and the indices of the new keys,
+    in increasing order.
 
-    visited holds unique keys in sorted order.  The returned indices are those
-    of the first occurrence of each key that is not in visited, in increasing
-    order.  Keys are sorted by numpy's fastest, unstable argsort, so a first
-    occurrence is the least index of its run of equal keys.
+    visited holds unique keys in sorted order, and keys must be distinct,
+    as the products of a distinct frontier by one invertible g are.
     """
     import numpy as np
 
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    uniq, first = keys[starts], np.minimum.reduceat(order, starts)
-    pos = np.searchsorted(visited, uniq)
-    new = np.take(visited, pos, mode="clip") != uniq
-    return np.insert(visited, pos[new], uniq[new]), np.sort(first[new])
-
-
-def _closure_impl(gens: list[Mat], cap: int, collect: bool):
-    import numpy as np
-
-    ctx, n, cap = _prepare(gens, cap)
-    tables = [_row_table(g) for g in gens]
-    bits = (ctx.q**n - 1).bit_length()
-    frontier = _row_codes(Mat.identity(ctx, n).codes, ctx.q).astype(tables[0].dtype)[None]
-    visited = _pack(frontier, bits)
-    found = [frontier] if collect else None
-
-    rounds, truncated = 0, False
-    while frontier.shape[0] and not truncated:
-        fresh = []
-        for table in tables:
-            prod = table[frontier]
-            visited, first = _dedup(visited, _pack(prod, bits))
-            fresh.append(prod[first])
-            if len(visited) > cap:
-                truncated = True
-                break
-        frontier = np.concatenate(fresh)
-        if frontier.shape[0]:
-            rounds += 1
-            if collect:
-                found.append(frontier)
-    return ClosureResult(len(visited), truncated, rounds), found
-
-
-def _python_row_table(g: Mat) -> list[int]:
-    """_row_table(g) as a list, built in pure Python.
-
-    Row (l, s) of the GF(p)-matrix of v -> v*g holds the digits of t**s times
-    row l of g; the output digit columns double over the input digits as in
-    _row_table.  Every spec certify() sends here has q**n <= 4096.
-    """
-    ctx, n = g.ctx, g.n
-    p, nk = ctx.p, n * ctx.k
-    action = [[d for e in row for d in ctx.code_to_coeffs(ctx.mul_code(p**s, e.code))]
-              for row in g.rows() for s in range(ctx.k)]
-    table = [0] * ctx.q**n
-    for out in range(nk):
-        col = [0]
-        for m in range(nk):
-            a = action[m][out]
-            col = [(c * a + x) % p for c in range(p) for x in col]
-        weight = p**out
-        table = [t + d * weight for t, d in zip(table, col)]
-    return table
+    pos = np.searchsorted(visited, keys)
+    new = np.take(visited, pos, mode="clip") != keys
+    return np.insert(visited, pos[new], keys[new]), np.sort(order[new])
 
 
 def _python_closure(gens: list[Mat], cap: int):
@@ -260,22 +226,42 @@ def _python_closure(gens: list[Mat], cap: int):
 
 def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     """Breadth-first closure of the generated group; see the module docstring."""
-    result, _ = _closure_impl(gens, cap, collect=False)
-    return result
+    import numpy as np
+
+    ctx, n, cap = _prepare(gens, cap)
+    tables = [_row_table(g) for g in gens]
+    bits = (ctx.q**n - 1).bit_length()
+    frontier = np.array([[ctx.q**i for i in range(n)]], dtype=tables[0].dtype)  # the identity
+    visited = _pack(frontier, bits)
+
+    rounds, truncated = 0, False
+    while frontier.shape[0] and not truncated:
+        fresh = []
+        for table in tables:
+            prod = table[frontier]
+            visited, new = _dedup(visited, _pack(prod, bits))
+            fresh.append(prod[new])
+            if len(visited) > cap:
+                truncated = True
+                break
+        frontier = np.concatenate(fresh)
+        if frontier.shape[0]:
+            rounds += 1
+    return ClosureResult(len(visited), truncated, rounds)
 
 
 def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:
     """All elements of the generated group in discovery order (identity first).
 
+    Runs _python_closure and decodes its row codes, so it loads no numpy.
     Raises ValueError if the cap truncates the search.
     """
-    import numpy as np
-
-    result, found = _closure_impl(gens, cap, collect=True)
+    result, found = _python_closure(gens, cap)
     if result.truncated:
         raise ValueError(f"cap {cap} truncated the enumeration at {result.size} elements")
     ctx = gens[0].ctx
-    return [Mat(ctx, m) for m in _decode(np.concatenate(found), ctx.q).tolist()]
+    powers = [ctx.q**j for j in range(gens[0].n)]
+    return [Mat(ctx, [[v // w % ctx.q for w in powers] for v in m]) for m in found]
 
 
 def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:

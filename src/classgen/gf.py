@@ -17,9 +17,9 @@ a**((q-1)/r) != 1 by the norm test N(a)**((p-1)/r) != 1 in GF(p) (Lidl and
 Niederreiter, Finite Fields, section 2.3), with N(a) taken through the
 Frobenius matrix.
 
-Scalar arithmetic works on coefficient lists.  The closure's row tables
-contract digit arrays with the structure constants of FieldCtx.tables; those
-two methods are the only ones that load numpy.
+Scalar arithmetic works on coefficient lists, and so do the closure's row
+tables, built from mul_code.  FieldCtx.tables, the structure constants as a
+numpy array, is the only method that loads numpy.
 """
 
 from __future__ import annotations
@@ -256,14 +256,7 @@ class FieldCtx:
     def frobenius_code(self, a: int) -> int:
         return self.pow_code(a, self.subfield_order())
 
-    # -- bulk arithmetic -------------------------------------------------------
-
-    def digits(self, codes):
-        """Base-p digits of an array of codes, in a new trailing axis of length k."""
-        import numpy as np
-
-        powers = self.p ** np.arange(self.k, dtype=np.int64)
-        return np.asarray(codes, dtype=np.int64)[..., None] // powers % self.p
+    # -- structure constants -------------------------------------------------
 
     def tables(self):
         """Structure constants S, an int64 array of shape (k, k, k).

@@ -4,8 +4,8 @@ Entries are stored as a tuple of n rows, each a tuple of n integer element
 codes.  Matrices are immutable; two are equal exactly when they share a
 field and their entry codes, and equal matrices hash alike.  Every product
 uses the field's scalar arithmetic and skips the zero entries of both
-factors, so it costs one multiply per pair of nonzeros that meet.  Only
-Mat.codes, the entries as a numpy array for the closure, loads numpy.
+factors, so it costs one multiply per pair of nonzeros that meet.  The
+module imports no numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def _identity_codes(n: int) -> list[list[int]]:
 class Mat:
     """An immutable n x n matrix over a FieldCtx."""
 
-    __slots__ = ("ctx", "n", "_rows", "_codes")
+    __slots__ = ("ctx", "n", "_rows")
 
     def __init__(self, ctx: FieldCtx, codes):
         """codes: the n rows of entry codes, as nested sequences or a 2-D array of
@@ -41,18 +41,6 @@ class Mat:
         self.ctx = ctx
         self.n = n
         self._rows = rows
-        self._codes = None
-
-    @property
-    def codes(self):
-        """The entry codes as a read-only (n, n) int64 ndarray."""
-        if self._codes is None:
-            import numpy as np
-
-            arr = np.array(self._rows, dtype=np.int64)
-            arr.flags.writeable = False
-            self._codes = arr
-        return self._codes
 
     # -- constructors -----------------------------------------------------
 

@@ -183,13 +183,6 @@ def check_field_size(q: int) -> None:
         raise ValueError(f"field cardinality {q} exceeds the cap {DEFAULT_FIELD_CAP}")
 
 
-def check_field_limit(spec: GroupSpec) -> None:
-    """Refuse uncovered parameters (UnsupportedParametersError), then a field
-    past DEFAULT_FIELD_CAP."""
-    case_label(spec)
-    check_field_size(field_order(spec))
-
-
 def check_closure_limit(spec: GroupSpec) -> None:
     """Refuse uncovered parameters (UnsupportedParametersError), then a closure
     past the row-code limit over the field of spec."""

@@ -180,13 +180,13 @@ def test_gens_gap_on_fields_past_2048_elements(capsys, family, degree, q):
     lines = out.splitlines()
     for name, m in (("a", pair.a), ("b", pair.b)):
         start = lines.index(f"{name} := [") + 1
-        for row, line in zip(m.codes, lines[start:start + degree]):
+        for row, line in zip(m.rows(), lines[start:start + degree]):
             entries = line.strip().rstrip(",").strip("[] ").split(", ")
-            for code, entry in zip(row, entries, strict=True):
-                if code == 0:
+            for e, entry in zip(row, entries, strict=True):
+                if not e:
                     assert entry == "0*xi^0"
                 else:
-                    assert ctx.pow_code(ctx.xi_code, int(entry.removeprefix("xi^"))) == code
+                    assert ctx.pow_code(ctx.xi_code, int(entry.removeprefix("xi^"))) == e.code
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def test_certify_invalid_cap(capsys, monkeypatch):
     code, _, err = run_main(capsys, ["certify", "--family", "sl", "--degree", "2",
                                      "--q", "3", "--cap", "0"])
     assert code == 3
-    assert "cap must be at least 1, got 0" in err
+    assert "cap must be a positive integer, got 0" in err
     monkeypatch.setenv("CLASSGEN_CAP", "10")  # no longer read: the default cap applies
     code, out, _ = run_main(capsys, ["certify", "--family", "sl", "--degree", "2", "--q", "3"])
     assert code == 0

@@ -25,7 +25,7 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen.enumeration import _decode, _dedup, _pack, _row_codes, _row_table
+from classgen.enumeration import _dedup, _pack, _python_row_table, _row_table
 from oracles import brute_mat_order, set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
 
@@ -297,6 +297,11 @@ def test_verdict_values():
 # Row-action kernel
 # ---------------------------------------------------------------------------
 
+def _row_codes(m):
+    """The tuple of m's n row codes: entry j of a row is base-q digit j."""
+    return tuple(sum(e.code * m.ctx.q**j for j, e in enumerate(row)) for row in m.rows())
+
+
 def test_row_table_products_match_mat_mul():
     for p, k, n in [(3, 2, 3), (2, 4, 2), (5, 2, 3), (5, 8, 1), (1021, 2, 1)]:
         ctx = field_create(p, k)
@@ -304,10 +309,11 @@ def test_row_table_products_match_mat_mul():
         mats = [Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)]))
                 for _ in range(20)]
         gen = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)]))
-        rows = _row_codes(np.stack([m.codes for m in mats]), ctx.q)
-        products = _decode(_row_table(gen)[rows], ctx.q)
-        for prod, m in zip(products, mats):
-            assert Mat(ctx, prod) == m * gen
+        table = _row_table(gen).tolist()
+        assert _python_row_table(gen) == table
+        for m in mats:
+            product = [[table[v] // ctx.q**j % ctx.q for j in range(n)] for v in _row_codes(m)]
+            assert Mat(ctx, product) == m * gen
 
 
 @pytest.mark.parametrize("family,degree,q,cap,expected", [
@@ -380,7 +386,7 @@ def _pair(family, degree, q):
 
 def _as_row_codes(elements):
     """Each Mat's n row codes, as _python_closure lists its elements."""
-    return [tuple(_row_codes(m.codes, m.ctx.q).tolist()) for m in elements]
+    return list(map(_row_codes, elements))
 
 
 @pytest.mark.parametrize("family,degree,q", [
@@ -429,18 +435,13 @@ def test_pack_keeps_matrices_differing_in_one_bit_apart(n, bits, words):
     assert np.frombuffer(keys.tobytes(), dtype=np.uint64).reshape(-1, words).tolist() == want
 
 
-def test_dedup_returns_first_occurrences_of_one_word_keys():
-    # enough repeats that an unstable argsort reorders equal keys
-    keys = np.random.default_rng(5).integers(0, 3000, size=20000, dtype=np.uint64)
-    seen = set(range(0, 3000, 3))
-    merged, first = _dedup(np.array(sorted(seen), dtype=np.uint64), keys)
-    want = []
-    for index, key in enumerate(keys.tolist()):
-        if key not in seen:
-            seen.add(key)
-            want.append(index)
-    assert first.tolist() == want
-    assert merged.tolist() == sorted(seen)
+def test_dedup_returns_the_new_one_word_keys_in_index_order():
+    # distinct keys in random order, a third of them already visited
+    keys = np.random.default_rng(5).permutation(30000)[:20000].astype(np.uint64)
+    seen = set(range(0, 30000, 3))
+    merged, new = _dedup(np.array(sorted(seen), dtype=np.uint64), keys)
+    assert new.tolist() == [i for i, key in enumerate(keys.tolist()) if key not in seen]
+    assert merged.tolist() == sorted(seen | set(keys.tolist()))
 
 
 def _wide(words: list[tuple]) -> np.ndarray:
@@ -458,28 +459,45 @@ def test_dedup_compares_every_word_of_wide_keys():
     batch = [
         (5, 3, 0),    # new: word 0 ties with 51 visited keys
         (5, 4, 0),    # visited
-        (5, 3, 0),    # repeat of index 0
         (5, 4, 2),    # new: differs from two visited keys only in word 2
         (3, 9, 9),    # visited
         (5, 99, 0),   # new: after every tie on word 0
         (4, 3, 0),    # new: differs from index 0 only in word 0
-        (5, 4, 2),    # repeat of index 3
         (5, 0, 0),    # visited, first of its tie
         (9, 0, 0),    # new: after every visited key
     ]
-    merged, first = _dedup(_visited(old), _wide(batch))
-    assert first.tolist() == [0, 3, 5, 6, 9]
+    merged, new = _dedup(_visited(old), _wide(batch))
+    assert new.tolist() == [0, 2, 4, 5, 7]
     assert merged.tolist() == sorted(set(_wide(old + batch).tolist()))
 
 
 def test_dedup_merges_wide_keys_sharing_an_insertion_position():
     old = [(1, 0, 0), (9, 0, 0)]
-    batch = [(5, 2, 7), (5, 0, 0), (3, 0, 0), (5, 0, 0), (5, 1, 0), (5, 0, 1)]
-    merged, first = _dedup(_visited(old), _wide(batch))
-    assert first.tolist() == [0, 1, 2, 4, 5]
+    batch = [(5, 2, 7), (5, 0, 0), (3, 0, 0), (5, 1, 0), (5, 0, 1)]
+    merged, new = _dedup(_visited(old), _wide(batch))
+    assert new.tolist() == [0, 1, 2, 3, 4]
     got = merged.tolist()
     assert all(a < b for a, b in zip(got, got[1:]))
     assert set(got) == set(_wide(old + batch).tolist())
+
+
+@pytest.mark.parametrize("family,degree,q,size", [
+    *CLOSURE_GRID,
+    (Family.GL, 8, 4, 200066),    # two-word keys
+    (Family.SP, 6, 2, 203922),
+])
+def test_dedup_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, q, size):
+    # _dedup relies on it: one generator's products of a distinct frontier
+    batches = []
+
+    def spy(visited, keys, _real=_dedup):
+        batches.append(len(keys))
+        assert len(np.unique(keys)) == len(keys)
+        return _real(visited, keys)
+
+    monkeypatch.setattr(enumeration, "_dedup", spy)
+    assert closure(_pair(family, degree, q), cap=200_000).size == size
+    assert batches
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +506,10 @@ def test_dedup_merges_wide_keys_sharing_an_insertion_position():
 # ---------------------------------------------------------------------------
 
 def _kernels_agree(gens, cap):
-    """Run both kernels; assert equal results and discovery orders, and
-    return the result and the order as row-code tuples."""
+    """Run both kernels, assert equal results, and return _python_closure's
+    result and discovery order as row-code tuples."""
     got, found = enumeration._python_closure(gens, cap)
-    want, frontiers = enumeration._closure_impl(gens, cap, collect=True)
-    assert got == want
-    assert found == list(map(tuple, np.concatenate(frontiers).tolist()))
+    assert closure(gens, cap) == got
     return got, found
 
 

@@ -92,18 +92,6 @@ def test_identity():
     assert m * m == m
 
 
-def test_codes_are_read_only():
-    """codes is a read-only int64 (n, n) array of the entry codes, built once."""
-    m = Mat.from_rows(GF9, [[GF9.xi, 0, 1], [2, 1, 0], [0, 0, GF9.xi ** 2]])
-    codes = m.codes
-    assert codes.dtype == np.int64
-    assert codes.shape == (3, 3)
-    assert codes.tolist() == [[e.code for e in row] for row in m.rows()]
-    assert m.codes is codes
-    with pytest.raises(ValueError):
-        codes[0, 0] = 2
-
-
 # ---------------------------------------------------------------------------
 # Multiplication
 # ---------------------------------------------------------------------------
@@ -141,7 +129,7 @@ def test_mul_sums_stay_exact_at_the_largest_prime():
     ctx = field_create(1048573, 1)
     a = Mat(ctx, np.full((16, 16), ctx.p - 1, dtype=np.int64))
     assert a * a == slow_mat_mul(a, a)
-    assert (a * a).codes.tolist() == [[16] * 16] * 16
+    assert a * a == Mat(ctx, [[16] * 16] * 16)
 
 
 def test_mul_costs_one_scalar_product_per_meeting_pair_of_nonzeros(monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classgen import Family, GroupSpec, cli, generator_pair, is_member
-from classgen.enumeration import ROW_CODE_LIMIT, _decode, _row_codes
 from classgen.gf import DEFAULT_FIELD_CAP
 
 
@@ -60,26 +59,6 @@ def test_generators_of_covered_specs_are_invertible_members(spec):
     for g in (pair.a, pair.b):
         assert g.det()
         assert is_member(spec, g)
-
-
-@st.composite
-def entry_code_batches(draw):
-    q = draw(st.integers(2, 2048))
-    n_max = 1
-    while q ** (n_max + 1) <= ROW_CODE_LIMIT:
-        n_max += 1
-    n = draw(st.integers(1, n_max))
-    count = draw(st.integers(1, 5))
-    flat = draw(st.lists(st.integers(0, q - 1), min_size=count * n * n,
-                         max_size=count * n * n))
-    return q, np.array(flat, dtype=np.int64).reshape(count, n, n)
-
-
-@PROPERTY
-@given(entry_code_batches())
-def test_row_codes_round_trip(batch):
-    q, codes = batch
-    assert np.array_equal(_decode(_row_codes(codes, q), q), codes)
 
 
 FAMILY_NAMES = ["gl", "sl", "sp", "gu", "su", "general linear", "special linear",

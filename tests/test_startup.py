@@ -1,8 +1,9 @@
 """The package imports lazily, and only the numpy closure loads numpy: no
 command line path imports it but a certify run that passes its parameter
 checks and either has a non-member generator or a group order above
-enumeration.PYTHON_BFS_MAX_ORDER.  The records are named tuples, so no
-path loads dataclasses (which pulls in inspect, ast, dis and tokenize)."""
+enumeration.PYTHON_BFS_MAX_ORDER, and group_elements() never does.  The
+records are named tuples, so no path loads dataclasses (which pulls in
+inspect, ast, dis and tokenize)."""
 
 import ast
 import importlib
@@ -98,6 +99,11 @@ def _exit_code_and_numpy_loaded(argv) -> str:
                   "except SystemExit as exc:\n    code = exc.code\n")
     script += ("print(code, 'numpy' in sys.modules,\n"
                "      not {'dataclasses', 'inspect'}.isdisjoint(sys.modules))\n")
+    return _last_line(script)
+
+
+def _last_line(script: str) -> str:
+    """The last line script prints in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=REPO_ENV, timeout=30)
     assert proc.stdout, proc.stderr
@@ -114,6 +120,14 @@ def test_certify_above_the_python_bfs_order_loads_numpy():
     # |SL(3,5)| = 372 000 > PYTHON_BFS_MAX_ORDER: the numpy closure runs
     argv = ["certify", "--family", "sl", "--degree", "3", "--q", "5"]
     assert _exit_code_and_numpy_loaded(argv).startswith("0 True ")
+
+
+def test_group_elements_loads_no_numpy():
+    script = ("import sys\n"
+              "from classgen import Family, GroupSpec, generator_pair, group_elements\n"
+              "pair = generator_pair(GroupSpec(Family.SL, 2, 3))\n"
+              "print(len(group_elements([pair.a, pair.b])), 'numpy' in sys.modules)\n")
+    assert _last_line(script) == "24 False"
 
 
 def _import_time_imports(path: Path):
@@ -157,9 +171,9 @@ def test_spec_and_cli_import_no_matrix_module_at_import_time(module, allowed):
     assert not {m for m in imported if m.split(".")[0] == "numpy"}
 
 
-# The modules gens runs, and enumeration, which certify runs: they may import
-# numpy only inside the functions that build or search arrays for the numpy
-# closure (FieldCtx.digits, FieldCtx.tables, Mat.codes and the closure's own).
+# The modules gens runs, and enumeration, which certify runs: none imports numpy
+# at import time (test_only_enumeration_and_field_tables_import_numpy says
+# which function bodies may).
 GENS_MODULES = ("gf", "matrix", "atoms", "forms", "families")
 
 
@@ -171,18 +185,37 @@ def test_gens_modules_import_no_numpy_at_import_time(module):
         f"classgen.{m}" for m in ("spec", *GENS_MODULES)}
 
 
+def _importers(top: str) -> set[str]:
+    """'<module>:<scope>' for every import of package top in classgen,
+    function bodies included; scope is the dotted name of the enclosing
+    classes and functions, empty at module level."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == top for name in names):
+                yield scope
+            yield from walk(child, scope)
+
+    return {f"{path.stem}:{scope}" for path in sorted(PACKAGE.glob("*.py"))
+            for scope in walk(ast.parse(path.read_text()), "")}
+
+
 def test_no_module_imports_dataclasses():
     # The records are named tuples; importing dataclasses costs a cold run
-    # 10-20 ms for inspect, ast, dis and tokenize.  Function bodies count too.
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    # 10-20 ms for inspect, ast, dis and tokenize.
+    assert _importers("dataclasses") == set()
+
+
+def test_only_enumeration_and_field_tables_import_numpy():
+    # closure() and its helpers, and FieldCtx.tables(), the structure
+    # constants as an array; everything else is pure Python.
+    outside = {s for s in _importers("numpy") if not s.startswith("enumeration:")}
+    assert outside == {"gf:FieldCtx.tables"}
