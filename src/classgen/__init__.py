@@ -4,8 +4,8 @@ fields, with exact field arithmetic and brute-force closure certification.
 The package imports lazily (PEP 562): each public name loads its submodule
 on first access, and no import loads numpy.  Fields, matrices, generator
 pairs and forms are pure Python, and so is group_elements().  closure()
-loads numpy when called, and so does certify() unless both generators are
-members and the group has at most enumeration.PYTHON_BFS_MAX_ORDER elements.
+loads numpy when called, and certify() only when both generators are
+members and |G| > enumeration.PYTHON_BFS_MAX_ORDER.
 """
 
 import importlib

@@ -6,9 +6,10 @@ Subcommands:
   order    print the theoretical group order
 
 Exit codes: 0 success / PASS, 1 FAIL, 2 unsupported parameters,
-3 usage error or a documented size limit, 4 INDETERMINATE (both generators
-are members, but the cap truncated the closure), 5 internal error (a bug;
-never a verdict).
+3 usage error or a documented size limit, 4 INDETERMINATE (the cap
+truncated the closure), 5 internal error (a bug; never a verdict).  A FAIL
+for a non-member generator runs no search, so certify then prints no size,
+rounds or truncated line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from classgen.spec import (
     DEFAULT_CAP,
     GroupSpec,
     UnsupportedParametersError,
+    check_gens_limit,
+    check_order_limit,
     parse_family,
     theoretical_order,
 )
@@ -68,6 +71,7 @@ def _text_rows(m) -> list[str]:
 
 def cmd_gens(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
+    check_gens_limit(spec)
     from classgen.families import form_for, generator_pair
     from classgen.gf import field_to_json, poly_string
 
@@ -177,9 +181,10 @@ def cmd_certify(args) -> int:
     print(f"q:          {spec.q}")
     print(f"membership: {'ok' if cert.membership_ok else 'FAILED'}")
     print(f"expected:   {_exact(cert.expected_order)}")
-    print(f"size:       {res.size}")
-    print(f"rounds:     {res.frontier_rounds}")
-    print(f"truncated:  {'yes (cap ' + str(args.cap) + ')' if res.truncated else 'no'}")
+    if res is not None:
+        print(f"size:       {res.size}")
+        print(f"rounds:     {res.frontier_rounds}")
+        print(f"truncated:  {'yes (cap ' + str(args.cap) + ')' if res.truncated else 'no'}")
     print(f"verdict:    {cert.verdict.value}")
     if cert.verdict is enumeration.Verdict.PASS:
         return 0
@@ -190,6 +195,7 @@ def cmd_certify(args) -> int:
 
 def cmd_order(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
+    check_order_limit(spec)
     print(_exact(theoretical_order(spec)))
     return 0
 

@@ -23,11 +23,10 @@ imported inside closure() and its helpers, so importing this module does
 not load it.
 
 certify() combines the membership predicates, the exact theoretical order
-and the closure count into a PASS / FAIL / INDETERMINATE verdict.
-INDETERMINATE needs both generators to be members and the cap to have
-truncated the search; certify() states the whole rule.  When both
-generators are members, the search visits at most |G| elements, and for
-|G| <= PYTHON_BFS_MAX_ORDER certify() runs _python_closure instead: the
+and the closure count into a PASS / FAIL / INDETERMINATE verdict; it states
+the whole rule.  A non-member generator is a FAIL without any search, so
+every search certify() runs is on a subgroup of G and visits at most |G|
+elements.  For |G| <= PYTHON_BFS_MAX_ORDER it runs _python_closure: the
 same search with Python-list row tables and a Python set of row-code
 tuples, which needs no numpy.  Such a small group is enumerated in less
 time than numpy takes to import.  Both kernels give the same ClosureResult.
@@ -42,9 +41,8 @@ from typing import NamedTuple
 
 from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
-# ROW_CODE_LIMIT is imported to keep its old path classgen.enumeration.ROW_CODE_LIMIT.
-from classgen.spec import (DEFAULT_CAP, ROW_CODE_LIMIT, GroupSpec, _as_int,
-                           check_closure_limit, check_row_code_limit, theoretical_order)
+from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, check_closure_limit,
+                           check_row_code_limit, theoretical_order)
 
 # certify() enumerates a group of at most this order in pure Python.  In cold
 # certify runs on a 2-vCPU Xeon VM the Python BFS cost 1.3 us per element and
@@ -69,7 +67,7 @@ class Certificate(NamedTuple):
     spec: GroupSpec
     membership_ok: bool
     expected_order: int
-    closure: ClosureResult
+    closure: ClosureResult | None  # None when membership failed: no search ran
     verdict: Verdict
 
 
@@ -267,15 +265,15 @@ def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:
 def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
     """Certify the generator pair for spec against the theoretical group order.
 
-    PASS: both generators are members of G and the closure finished at
-    exactly |G|.  FAIL: a generator is not a member, whatever the closure
-    did, or the closure finished at another size.  INDETERMINATE: both are
-    members and the cap truncated the closure.
+    FAIL without a search if a generator lies outside G: the pair cannot
+    generate G, and closure is None.  Otherwise <a, b> <= G and the search
+    visits at most |G| elements.  INDETERMINATE: the cap truncated the
+    closure.  PASS: it finished at exactly |G|.  FAIL: it finished at
+    another size.
 
-    When both generators are members the search visits at most |G|
-    elements, so a G of order at most PYTHON_BFS_MAX_ORDER is enumerated in
-    pure Python and numpy is never imported; otherwise closure() runs.  Both
-    give the same ClosureResult.
+    A G of order at most PYTHON_BFS_MAX_ORDER is enumerated in pure Python
+    and numpy is never imported; otherwise closure() runs.  Both give the
+    same ClosureResult.
 
     A cap that is not an integer >= 1 (ValueError), uncovered parameters
     (UnsupportedParametersError) and the closure size limit (ValueError) are
@@ -284,16 +282,15 @@ def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
     cap = _check_cap(cap)
     check_closure_limit(spec)
     pair = generator_pair(spec)
-    membership_ok = is_member(spec, pair.a) and is_member(spec, pair.b)
     expected = theoretical_order(spec)
-    if membership_ok and expected <= PYTHON_BFS_MAX_ORDER:
+    if not (is_member(spec, pair.a) and is_member(spec, pair.b)):
+        return Certificate(spec, False, expected, None, Verdict.FAIL)
+    if expected <= PYTHON_BFS_MAX_ORDER:
         result, _ = _python_closure([pair.a, pair.b], cap)
     else:
         result = closure([pair.a, pair.b], cap=cap)
-    if membership_ok and result.truncated:
+    if result.truncated:
         verdict = Verdict.INDETERMINATE
-    elif membership_ok and result.size == expected:
-        verdict = Verdict.PASS
     else:
-        verdict = Verdict.FAIL
-    return Certificate(spec, membership_ok, expected, result, verdict)
+        verdict = Verdict.PASS if result.size == expected else Verdict.FAIL
+    return Certificate(spec, True, expected, result, verdict)

@@ -60,7 +60,6 @@ from classgen.matrix import Mat
 # The parameter types live in the numpy-free spec module; importing them here
 # keeps classgen.families.GroupSpec and the other old import paths working.
 from classgen.spec import (
-    MAX_Q,
     Family,
     GroupSpec,
     UnsupportedParametersError,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from classgen.gf import FieldCtx, FieldElem, frobenius
+from classgen.gf import FieldCtx, FieldElem
 from classgen.matrix import Mat
 
 

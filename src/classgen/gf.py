@@ -439,11 +439,13 @@ def _field_create_cached(p: int, k: int) -> FieldCtx:
 def field_create(p: int, k: int) -> FieldCtx:
     """Create GF(p^k) deterministically.
 
-    Raises ValueError if p is not prime, k < 1, or p**k exceeds DEFAULT_FIELD_CAP.
-    Validation runs before the cache so the outcome never depends on
-    which fields were built earlier.
+    Raises ValueError if p or k is not an integer (numpy integers count,
+    floats do not; both are stored as Python ints), p is not prime, k < 1,
+    or p**k exceeds DEFAULT_FIELD_CAP.  Validation runs before the cache so
+    the outcome never depends on which fields were built earlier.
     """
-    if not isinstance(p, int) or not isinstance(k, int):
+    p, k = _as_int(p), _as_int(k)
+    if p is None or k is None:
         raise ValueError("p and k must be integers")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")

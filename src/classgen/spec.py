@@ -16,6 +16,12 @@ MAX_Q = 2**40
 DEFAULT_CAP = 2_000_000
 DEFAULT_FIELD_CAP = 2**20
 ROW_CODE_LIMIT = 2**20
+# Limits on degree**2 * bit_length of the field size for the gens and order
+# commands; see check_gens_limit and check_order_limit.  In cold runs at the
+# limits on a 2-vCPU Xeon VM the slowest took 2.7 s and 108 MB (gens
+# --emit-form of Sp(512,2)) and 3.6 s and 24 MB (order of GL(1672,5)).
+GENS_SIZE_LIMIT = 2**19
+ORDER_SIZE_LIMIT = 2**23
 
 
 class UnsupportedParametersError(ValueError):
@@ -188,6 +194,32 @@ def check_closure_limit(spec: GroupSpec) -> None:
     past the row-code limit over the field of spec."""
     case_label(spec)
     check_row_code_limit(field_order(spec), spec.degree)
+
+
+def _check_size(spec: GroupSpec, field_size: int, limit: int, what: str) -> None:
+    case_label(spec)
+    size = spec.degree**2 * field_size.bit_length()
+    if size > limit:
+        raise ValueError(f"{what} size limit: degree**2 * bit_length({field_size}) <= "
+                         f"2**{limit.bit_length() - 1}; degree {spec.degree} gives {size}")
+
+
+def check_gens_limit(spec: GroupSpec) -> None:
+    """Refuse uncovered parameters, then generators past GENS_SIZE_LIMIT.
+
+    degree**2 * bit_length(Q), Q = field_order(spec), bounds the bits of the
+    entry codes of one matrix that gens prints.
+    """
+    _check_size(spec, field_order(spec), GENS_SIZE_LIMIT, "gens")
+
+
+def check_order_limit(spec: GroupSpec) -> None:
+    """Refuse uncovered parameters, then an order past ORDER_SIZE_LIMIT.
+
+    degree**2 * bit_length(q) is about the bit length of the order, which
+    is below 2 * q**(degree**2).
+    """
+    _check_size(spec, spec.q, ORDER_SIZE_LIMIT, "order")
 
 
 def _product(factors: list[int]) -> int:

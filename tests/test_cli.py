@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import classgen.enumeration as enumeration
+import classgen.families as families
 from classgen import Family, GroupSpec, cli, generator_pair, theoretical_order
 from classgen.cli import main
 from oracles import chunked_decimal
@@ -236,9 +237,12 @@ def test_certify_fail_on_a_non_member_exits_1(capsys, monkeypatch):
     code, out, _ = run_main(capsys, ["certify", "--family", "sp", "--degree", "4",
                                      "--q", "3", "--cap", "1000"])
     assert code == 1
-    assert "membership: FAILED" in out
-    assert "truncated:  yes (cap 1000)" in out
-    assert out.endswith("verdict:    FAIL\n")
+    assert out == ("family:     sp\n"
+                   "degree:     4\n"
+                   "q:          3\n"
+                   "membership: FAILED\n"
+                   "expected:   51840\n"
+                   "verdict:    FAIL\n")
 
 
 def test_certify_invalid_cap(capsys, monkeypatch):
@@ -352,6 +356,28 @@ def test_certify_refuses_limits_before_building_generators(capsys, monkeypatch):
                                      "--q", "1048576"])
     assert code == 2
     assert "unsupported parameters" in err
+
+
+def test_gens_and_order_refuse_their_size_limits_before_building(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("nothing may be built past a size limit")
+
+    monkeypatch.setattr(families, "generator_pair", no_work)
+    monkeypatch.setattr(cli, "theoretical_order", no_work)
+    for argv, message in [
+        (["gens", "--family", "gl", "--degree", "1000", "--q", "3"],
+         "gens size limit: degree**2 * bit_length(3) <= 2**19; degree 1000 gives 2000000"),
+        (["gens", "--family", "su", "--degree", "159", "--q", "1024"],
+         "gens size limit: degree**2 * bit_length(1048576) <= 2**19"),
+        (["order", "--family", "gl", "--degree", "4000", "--q", "2"],
+         "order size limit: degree**2 * bit_length(2) <= 2**23; degree 4000 gives 32000000"),
+        (["order", "--family", "gl", "--degree", "1000", "--q", "1099511627776"],
+         "order size limit: degree**2 * bit_length(1099511627776) <= 2**23"),
+    ]:
+        code, out, err = run_main(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"classgen: {message}")
 
 
 def test_exit_5_for_internal_errors(capsys, monkeypatch):

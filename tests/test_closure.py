@@ -249,21 +249,30 @@ def test_certify_fails_on_a_proper_subgroup(monkeypatch, spec, other, size):
     assert cert.verdict is Verdict.FAIL
 
 
-def test_certify_fails_on_a_non_member_even_when_truncated(monkeypatch):
-    hand_pair_of(monkeypatch, GroupSpec(Family.GL, 4, 3))
-    cert = certify(GroupSpec(Family.SP, 4, 3), cap=1000)
-    assert cert.membership_ok is False
-    assert cert.closure.truncated is True
-    assert cert.verdict is Verdict.FAIL
+GL43 = generator_pair(GroupSpec(Family.GL, 4, 3))
+GL25 = generator_pair(GroupSpec(Family.GL, 2, 5))
+# (spec, a pair with a generator outside G, cap)
+NON_MEMBERS = [
+    (GroupSpec(Family.SP, 4, 3), (GL43.a, GL43.b), 1000),
+    (GroupSpec(Family.SP, 4, 3), (GL43.a, GL43.b), DEFAULT_CAP),
+    (GroupSpec(Family.SP, 4, 3), (GL43.b, GL43.b), DEFAULT_CAP),
+    (GroupSpec(Family.SL, 2, 5), (GL25.a, GL25.b), DEFAULT_CAP),
+]
 
 
-def test_certify_fails_on_a_non_member_when_the_closure_finishes(monkeypatch):
-    b = generator_pair(GroupSpec(Family.GL, 4, 3)).b
-    hand_pair(monkeypatch, b, b)
-    cert = certify(GroupSpec(Family.SP, 4, 3))
-    assert cert.membership_ok is False
-    assert cert.closure.truncated is False
-    assert cert.verdict is Verdict.FAIL
+@pytest.mark.parametrize("spec,pair,cap", NON_MEMBERS,
+                         ids=["gl-pair-cap-1000", "gl-pair", "b-b", "sl-2-5-gl-pair"])
+def test_certify_fails_on_a_non_member_without_a_search(monkeypatch, spec, pair, cap):
+    hand_pair(monkeypatch, *pair)
+    calls = []
+    for name in ("closure", "_python_closure"):
+        def spy(*args, _name=name, _real=getattr(enumeration, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(enumeration, name, spy)
+    cert = certify(spec, cap=cap)
+    assert calls == []
+    assert cert == (spec, False, theoretical_order(spec), None, Verdict.FAIL)
 
 
 # (spec, the order of the paper's generator a, which alone gives a cyclic group)
@@ -566,15 +575,6 @@ def test_certify_picks_the_kernel_by_the_group_order(monkeypatch, spec, kernel):
     assert calls == [kernel]
     assert cert.closure == want
     assert cert.verdict is Verdict.PASS
-
-
-def test_certify_runs_closure_on_a_non_member_pair_of_a_small_group(monkeypatch):
-    hand_pair_of(monkeypatch, GroupSpec(Family.GL, 2, 5))  # GL(2,5) is not in SL(2,5)
-    monkeypatch.setattr(enumeration, "_python_closure", None)
-    cert = certify(GroupSpec(Family.SL, 2, 5))
-    assert cert.membership_ok is False
-    assert (cert.closure.size, cert.closure.truncated) == (480, False)
-    assert cert.verdict is Verdict.FAIL
 
 
 BAD_CAPS = [0, -1, float("inf"), float("nan"), 2.0]

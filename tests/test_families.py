@@ -20,6 +20,7 @@ from classgen import (
     parse_family,
     theoretical_order,
 )
+from classgen.spec import check_gens_limit, check_order_limit
 
 # (family, degree, q) -> expected case label; one row per covered regime
 LABEL_GRID = [
@@ -207,6 +208,41 @@ def test_q_above_2_power_40_is_refused_before_factoring():
     for q in (2**40 + 1, 10**18 + 3):
         with pytest.raises(ValueError, match=r"exceeds the limit 2\*\*40"):
             GroupSpec(Family.GL, 2, q)
+
+
+# (family, degree, q) just inside the size limit of gens or order: one
+# degree more is refused.
+GENS_LIMIT_EDGES = [(Family.GL, 512, 2), (Family.GL, 512, 3), (Family.GU, 418, 2),
+                    (Family.SU, 158, 1024)]
+ORDER_LIMIT_EDGES = [(Family.GL, 2048, 2), (Family.GL, 2048, 3), (Family.GL, 452, 2**40),
+                     (Family.GU, 632, 2**20)]
+
+
+@pytest.mark.parametrize("check,edges,pattern", [
+    (check_gens_limit, GENS_LIMIT_EDGES, r"gens size limit: .* <= 2\*\*19"),
+    (check_order_limit, ORDER_LIMIT_EDGES, r"order size limit: .* <= 2\*\*23"),
+], ids=["gens", "order"])
+def test_size_limits_refuse_one_degree_past_the_edge(check, edges, pattern):
+    for family, degree, q in edges:
+        check(GroupSpec(family, degree, q))
+        with pytest.raises(ValueError, match=pattern):
+            check(GroupSpec(family, degree + 1, q))
+
+
+def test_size_limits_accept_the_specs_the_tests_use():
+    # The property tests draw degrees below 26, over fields of up to 2**20
+    # elements; the command line tests print these orders.
+    check_gens_limit(GroupSpec(Family.GL, 25, 2**20))
+    check_gens_limit(GroupSpec(Family.SU, 25, 2**10))
+    for spec in [(Family.GL, 120, 2), (Family.GL, 100, 9), (Family.SP, 10, 9),
+                 (Family.GL, 27, 2**20), (Family.GL, 2000, 2)]:
+        check_order_limit(GroupSpec(*spec))
+
+
+def test_size_limits_refuse_uncovered_parameters_first():
+    for check in (check_gens_limit, check_order_limit):
+        with pytest.raises(UnsupportedParametersError):
+            check(GroupSpec(Family.SP, 10**6 + 1, 3))
 
 
 def test_unsupported_is_a_value_error():

@@ -163,6 +163,14 @@ def test_construction_rejects_bad_parameters():
         field_create(3, 0)
     with pytest.raises(ValueError, match="must be integers"):
         field_create(2.0, 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        field_create(2, "3")
+
+
+def test_construction_takes_any_integer_type():
+    ctx = field_create(np.int64(2), np.uint8(3))
+    assert ctx is field_create(2, 3)
+    assert type(ctx.p) is int and type(ctx.k) is int
 
 
 def test_construction_respects_cap():

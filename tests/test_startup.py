@@ -1,9 +1,10 @@
 """The package imports lazily, and only the numpy closure loads numpy: no
-command line path imports it but a certify run that passes its parameter
-checks and either has a non-member generator or a group order above
+command line path imports it but a certify run whose generators pass the
+membership check and whose group order is above
 enumeration.PYTHON_BFS_MAX_ORDER, and group_elements() never does.  The
 records are named tuples, so no path loads dataclasses (which pulls in
-inspect, ast, dis and tokenize)."""
+inspect, ast, dis and tokenize).  Every module-level import is used or keeps
+an old import path."""
 
 import ast
 import importlib
@@ -75,6 +76,8 @@ NUMPY_FREE = {
     "certify truncated": (["certify", "--family", "gu", "--degree", "4", "--q", "2",
                            "--cap", "10000"], 4),
     "field limit": (["gens", "--family", "gu", "--degree", "3", "--q", "2048"], 3),
+    "gens size limit": (["gens", "--family", "gl", "--degree", "1000", "--q", "3"], 3),
+    "order size limit": (["order", "--family", "gl", "--degree", "4000", "--q", "2"], 3),
     "gens json": (["gens", "--family", "sp", "--degree", "4", "--q", "3"], 0),
     "gens json form": (["gens", "--family", "sp", "--degree", "4", "--q", "3", "--emit-form"], 0),
     "gens text": (["gens", "--family", "gl", "--degree", "3", "--q", "3", "--format", "text"], 0),
@@ -120,6 +123,18 @@ def test_certify_above_the_python_bfs_order_loads_numpy():
     # |SL(3,5)| = 372 000 > PYTHON_BFS_MAX_ORDER: the numpy closure runs
     argv = ["certify", "--family", "sl", "--degree", "3", "--q", "5"]
     assert _exit_code_and_numpy_loaded(argv).startswith("0 True ")
+
+
+def test_certify_of_a_non_member_pair_loads_no_numpy():
+    # Sp(4,3) handed the GL(4,3) pair fails membership, so no search runs.
+    script = ("import sys\n"
+              "from classgen import Family, GroupSpec, enumeration, generator_pair\n"
+              "from classgen.cli import main\n"
+              "gl = generator_pair(GroupSpec(Family.GL, 4, 3))\n"
+              "enumeration.generator_pair = lambda spec: gl._replace(spec=spec)\n"
+              "code = main(['certify', '--family', 'sp', '--degree', '4', '--q', '3'])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    assert _last_line(script) == "1 False"
 
 
 def test_group_elements_loads_no_numpy():
@@ -219,3 +234,22 @@ def test_only_enumeration_and_field_tables_import_numpy():
     # constants as an array; everything else is pure Python.
     outside = {s for s in _importers("numpy") if not s.startswith("enumeration:")}
     assert outside == {"gf:FieldCtx.tables"}
+
+
+def test_every_module_level_import_is_used_or_an_old_path():
+    # A name imported only to keep an old import path working must be listed
+    # for its module in OLD_PATHS.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept = set(OLD_PATHS.get(f"classgen.{path.stem}", ()))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used | kept:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == []
