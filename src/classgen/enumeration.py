@@ -4,34 +4,33 @@ closure() runs a breadth-first search from the identity, right-multiplying
 the frontier by each generator.  A matrix is held as its n row codes: the
 row with entry codes (c_0, ..., c_{n-1}) has code c_0 + c_1*q + ... +
 c_{n-1}*q**(n-1) in [0, q**n).  Row i of M*g is (row i of M)*g, so each
-generator g gets a table T_g of length q**n mapping v to v*g, and the
-product of a whole frontier is the single gather T_g[frontier].  Both
+generator g gets a table T_g of length q**n mapping v to v*g.  Both
 kernels build T_g from _action(g), the GF(p)-matrix of v -> v*g, worked
-out once with the field's scalar product.  A
-matrix's key packs its row codes, b = (q**n - 1).bit_length() bits each,
-into w = ceil(n*b/64) 64-bit words and is one scalar: a uint64 when w = 1
-(every degree n <= 3), otherwise 8*w raw bytes, sorted bytewise.  The
-visited set is one sorted 1-D array of keys.  Each generator's products are
-deduplicated with one sort, looked up with one binary search and merged in
-with one insert, a single copy of the visited array, before the cap check.
-Only keys are stored beyond the frontier: 8*w bytes per element.  The
-search stops when the frontier empties (exact count) or the visited set
-grows past the cap (truncated).  The result depends only on the generator
-set, not on ordering or duplicates.  The tables limit closure to
-q**n <= 2**20 (ROW_CODE_LIMIT), checked before any work.  numpy is
-imported inside closure() and its helpers, so importing this module does
-not load it.
+out once with the field's scalar product.
 
-certify() combines the membership predicates, the exact theoretical order
-and the closure count into a PASS / FAIL / INDETERMINATE verdict; it states
-the whole rule.  A non-member generator is a FAIL without any search, so
-every search certify() runs is on a subgroup of G and visits at most |G|
-elements.  For |G| <= PYTHON_BFS_MAX_ORDER it runs _python_closure: the
-same search with Python-list row tables and a Python set of row-code
-tuples, which needs no numpy.  Such a small group is enumerated in less
-time than numpy takes to import.  Both kernels give the same ClosureResult.
-group_elements() reads its discovery order from _python_closure, so only
-closure() loads numpy.
+In closure() a matrix is one uint64 key, row i in bits [i*b, (i+1)*b) with
+b = (q**n - 1).bit_length().  Keys wider than 64 bits, like tables past
+q**n = 2**20 (ROW_CODE_LIMIT), are refused before any work.  The frontier
+and the sorted visited set are arrays of keys.  A frontier's product by g
+ORs T_g[(key >> i*b) & mask] << i*b over rows i; it is sorted by value,
+looked up in visited by one binary search, and its new keys are merged in
+by one insert and form part of the next frontier.  The visited set costs
+8 bytes per element, plus one copy while merging.  The search stops when
+the frontier empties (exact count) or, checked after each generator, the
+visited set grows past the cap (truncated).
+
+A finished result depends only on the set of generators (round r finds the
+elements of word length r); a truncated one also on their order.  A
+repeated generator never changes the result.  numpy is imported only
+inside closure() and its helpers.
+
+certify() turns membership, the exact order and a closure count into a
+PASS / FAIL / INDETERMINATE verdict, by the rule in its docstring.  For
+|G| <= PYTHON_BFS_MAX_ORDER it runs _python_closure, the same search with
+Python-list row tables and a Python set of row-code tuples: such a small
+group is enumerated in less time than numpy takes to import.  Both kernels
+give the same ClosureResult.  group_elements() reads its discovery order
+from _python_closure, so only closure() loads numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import NamedTuple
 from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
 from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, check_closure_limit,
-                           check_row_code_limit, theoretical_order)
+                           check_key_width, check_row_code_limit, theoretical_order)
 
 # certify() enumerates a group of at most this order in pure Python.  In cold
 # certify runs on a 2-vCPU Xeon VM the Python BFS cost 1.3 us per element and
@@ -109,7 +108,7 @@ def _action(g: Mat) -> list[list[int]]:
 
 
 def _row_table(g: Mat):
-    """T with T[v] = v*g for every row code v in [0, q**n), as an ndarray.
+    """T with T[v] = v*g for every row code v in [0, q**n), as uint64 keys.
 
     Each output digit column of _action(g) doubles over the input digits:
     the codes with top digit c at m are c * p**m plus the codes below p**m.
@@ -119,15 +118,13 @@ def _row_table(g: Mat):
     ctx, n = g.ctx, g.n
     p, nk = ctx.p, n * ctx.k
     action = _action(g)
-    size = ctx.q**n
-    dtype = np.min_scalar_type(size - 1)
-    table = np.zeros(size, dtype=dtype)
+    table = np.zeros(ctx.q**n, dtype=np.uint64)
     col_dtype = np.min_scalar_type(nk * (p - 1))  # sums of nk terms < p, reduced once
     for out in range(nk):
         col = np.zeros(1, dtype=col_dtype)
         for m in range(nk):
             col = ((np.arange(p) * action[m][out] % p).astype(col_dtype)[:, None] + col).ravel()
-        table += (col % p).astype(dtype) * dtype.type(p**out)
+        table += (col % p).astype(np.uint64) * np.uint64(p**out)
     return table
 
 
@@ -151,42 +148,32 @@ def _python_row_table(g: Mat) -> list[int]:
     return table
 
 
-def _pack(rows, bits: int):
-    """The 1-D array of keys of (m, n) row codes, one key per matrix.
-
-    Row i fills bits [i*bits, (i+1)*bits) of a little-endian string of
-    w = ceil(n*bits/64) uint64 words.  A one-word key is that uint64; a wider
-    key is the string as one raw-bytes value of 8*w bytes, which numpy sorts
-    and compares bytewise: an exact total order, though not the numeric one.
-    """
+def _product(keys, table, n: int, bits: int):
+    """The keys of M*g for the keys of M, table = _row_table(g): row i of
+    M*g is table[row i of M], through two reused temporaries."""
     import numpy as np
 
-    m, n = rows.shape
-    words = -(-n * bits // 64)
-    keys = np.zeros((m, words), dtype=np.uint64)
+    mask = np.uint64((1 << bits) - 1)
+    row, image, out = np.empty_like(keys), np.empty_like(keys), np.zeros_like(keys)
     for i in range(n):
-        row = rows[:, i].astype(np.uint64)
-        word, shift = divmod(i * bits, 64)
-        keys[:, word] |= row << np.uint64(shift)
-        if shift + bits > 64:
-            keys[:, word + 1] |= row >> np.uint64(64 - shift)
-    return keys[:, 0] if words == 1 else keys.view(np.dtype((np.void, 8 * words)))[:, 0]
+        shift = np.uint64(i * bits)
+        np.bitwise_and(np.right_shift(keys, shift, out=row), mask, out=row)
+        # the codes are in range; mode="clip" lets take write into image unbuffered
+        np.take(table, row.view(np.int64), out=image, mode="clip")
+        np.bitwise_or(out, np.left_shift(image, shift, out=image), out=out)
+    return out
 
 
-def _dedup(visited, keys):
-    """Merge keys into visited; return it and the indices of the new keys,
-    in increasing order.
-
-    visited holds unique keys in sorted order, and keys must be distinct,
-    as the products of a distinct frontier by one invertible g are.
-    """
+def _merge(visited, keys):
+    """Merge distinct keys into the sorted visited array; return it and the
+    keys that were new, in increasing order.  keys is sorted in place."""
     import numpy as np
 
-    order = np.argsort(keys)
-    keys = keys[order]
+    keys.sort()
     pos = np.searchsorted(visited, keys)
     new = np.take(visited, pos, mode="clip") != keys
-    return np.insert(visited, pos[new], keys[new]), np.sort(order[new])
+    fresh = keys[new]
+    return np.insert(visited, pos[new], fresh), fresh
 
 
 def _python_closure(gens: list[Mat], cap: int):
@@ -227,23 +214,22 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     import numpy as np
 
     ctx, n, cap = _prepare(gens, cap)
+    bits = check_key_width(ctx.q, n)
     tables = [_row_table(g) for g in gens]
-    bits = (ctx.q**n - 1).bit_length()
-    frontier = np.array([[ctx.q**i for i in range(n)]], dtype=tables[0].dtype)  # the identity
-    visited = _pack(frontier, bits)
+    identity = sum(ctx.q**i << (i * bits) for i in range(n))
+    frontier = visited = np.array([identity], dtype=np.uint64)
 
     rounds, truncated = 0, False
-    while frontier.shape[0] and not truncated:
+    while len(frontier) and not truncated:
         fresh = []
         for table in tables:
-            prod = table[frontier]
-            visited, new = _dedup(visited, _pack(prod, bits))
-            fresh.append(prod[new])
+            visited, new = _merge(visited, _product(frontier, table, n, bits))
+            fresh.append(new)
             if len(visited) > cap:
                 truncated = True
                 break
         frontier = np.concatenate(fresh)
-        if frontier.shape[0]:
+        if len(frontier):
             rounds += 1
     return ClosureResult(len(visited), truncated, rounds)
 
@@ -266,18 +252,14 @@ def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
     """Certify the generator pair for spec against the theoretical group order.
 
     FAIL without a search if a generator lies outside G: the pair cannot
-    generate G, and closure is None.  Otherwise <a, b> <= G and the search
-    visits at most |G| elements.  INDETERMINATE: the cap truncated the
-    closure.  PASS: it finished at exactly |G|.  FAIL: it finished at
-    another size.
-
-    A G of order at most PYTHON_BFS_MAX_ORDER is enumerated in pure Python
-    and numpy is never imported; otherwise closure() runs.  Both give the
-    same ClosureResult.
+    generate G, and closure is None.  Otherwise <a, b> <= G and the search,
+    in pure Python when |G| <= PYTHON_BFS_MAX_ORDER and by closure()
+    otherwise, visits at most |G| elements.  INDETERMINATE: the cap
+    truncated it.  PASS: it finished at exactly |G|.  FAIL: at another size.
 
     A cap that is not an integer >= 1 (ValueError), uncovered parameters
-    (UnsupportedParametersError) and the closure size limit (ValueError) are
-    refused before any generator is built.
+    (UnsupportedParametersError) and the closure size and key limits
+    (ValueError) are refused before any generator is built.
     """
     cap = _check_cap(cap)
     check_closure_limit(spec)

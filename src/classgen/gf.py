@@ -17,9 +17,9 @@ a**((q-1)/r) != 1 by the norm test N(a)**((p-1)/r) != 1 in GF(p) (Lidl and
 Niederreiter, Finite Fields, section 2.3), with N(a) taken through the
 Frobenius matrix.
 
-Scalar arithmetic works on coefficient lists, and so do the closure's row
-tables, built from mul_code.  FieldCtx.tables, the structure constants as a
-numpy array, is the only method that loads numpy.
+Scalar arithmetic works on coefficient lists (mod p on a prime field), and
+so do the closure's row tables, built from mul_code.  FieldCtx.tables, the
+structure constants as a numpy array, is the only method that loads numpy.
 """
 
 from __future__ import annotations
@@ -207,6 +207,8 @@ class FieldCtx:
 
     def add_code(self, a: int, b: int) -> int:
         p = self.p
+        if self.k == 1:
+            return (a + b) % p
         shift, out = 1, 0
         for _ in range(self.k):
             out += ((a % p + b % p) % p) * shift
@@ -217,6 +219,8 @@ class FieldCtx:
 
     def neg_code(self, a: int) -> int:
         p = self.p
+        if self.k == 1:
+            return -a % p
         shift, out = 1, 0
         for _ in range(self.k):
             out += ((-(a % p)) % p) * shift
@@ -228,6 +232,8 @@ class FieldCtx:
         return self.add_code(a, self.neg_code(b))
 
     def mul_code(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
         pa = list(self.code_to_coeffs(a))
         pb = list(self.code_to_coeffs(b))
         return self.coeffs_to_code(_poly_mulmod(pa, pb, self.modulus[: self.k], self.p, self.k))
@@ -235,6 +241,8 @@ class FieldCtx:
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by the zero field element")
+        if self.k == 1:
+            return pow(a, -1, self.p)
         return self.pow_code(a, self.q - 2)
 
     def pow_code(self, a: int, e: int) -> int:

@@ -178,6 +178,15 @@ def check_row_code_limit(q: int, n: int) -> None:
                          f"GF({q}) at degree {n} exceeds it")
 
 
+def check_key_width(q: int, n: int) -> int:
+    """The bits b of a row code over GF(q) (q**n within its limit); refuse n * b > 64."""
+    bits = (q**n - 1).bit_length()
+    if n * bits > 64:
+        raise ValueError(f"closure needs n * bit_length(q**n - 1) <= 64 (one-word key limit); "
+                         f"GF({q}) at degree {n} needs {n * bits} bits")
+    return bits
+
+
 def field_order(spec: GroupSpec) -> int:
     """The size of the field the matrices of spec live over: q, or q**2 for gu/su."""
     return spec.q**2 if spec.family in (Family.GU, Family.SU) else spec.q
@@ -190,10 +199,10 @@ def check_field_size(q: int) -> None:
 
 
 def check_closure_limit(spec: GroupSpec) -> None:
-    """Refuse uncovered parameters (UnsupportedParametersError), then a closure
-    past the row-code limit over the field of spec."""
+    """Refuse uncovered parameters, then a closure past the row-code or key limit."""
     case_label(spec)
     check_row_code_limit(field_order(spec), spec.degree)
+    check_key_width(field_order(spec), spec.degree)
 
 
 def _check_size(spec: GroupSpec, field_size: int, limit: int, what: str) -> None:

@@ -358,6 +358,23 @@ def test_certify_refuses_limits_before_building_generators(capsys, monkeypatch):
     assert "unsupported parameters" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "gl", "--degree", "8", "--q", "4"],               # 8 rows of 16 bits
+    ["--family", "su", "--degree", "6", "--q", "2", "--cap", "10"],  # 6 rows of 12 bits
+])
+def test_certify_refuses_keys_wider_than_one_word_before_building_generators(
+        capsys, monkeypatch, argv):
+    def no_pair(spec):
+        raise AssertionError("generator_pair must not be called")
+
+    monkeypatch.setattr(enumeration, "generator_pair", no_pair)
+    code, out, err = run_main(capsys, ["certify", *argv])
+    assert code == 3
+    assert "n * bit_length(q**n - 1) <= 64 (one-word key limit)" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_gens_and_order_refuse_their_size_limits_before_building(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("nothing may be built past a size limit")

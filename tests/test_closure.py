@@ -25,7 +25,7 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen.enumeration import _dedup, _pack, _python_row_table, _row_table
+from classgen.enumeration import _merge, _product, _python_row_table, _row_table
 from oracles import brute_mat_order, set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
 
@@ -129,6 +129,19 @@ def test_closure_is_independent_of_generator_presentation():
     assert closure([b, a]) == baseline
     assert closure([a, b, a, b * b]) == baseline
     assert closure([a, b] * 3) == baseline
+
+
+def test_a_truncated_closure_depends_on_generator_order_but_never_on_repeats():
+    a, b = _pair(Family.SP, 6, 2)
+    for cap, ab, ba in [(100, 102, 113), (100_000, 120_711, 107_026)]:
+        assert closure([a, b], cap).size == ab
+        assert closure([b, a], cap).size == ba
+        # a repeat of an earlier generator finds nothing new
+        assert closure([a, b, a], cap) == closure([a, a, b], cap) == closure([a, b], cap)
+        assert closure([b, a, b, a], cap) == closure([b, a], cap)
+    # a finished closure depends only on the set
+    a, b = _pair(Family.GU, 4, 2)
+    assert closure([b, a]) == closure([a, b, b, a]) == closure([a, b]) == (77760, False, 24)
 
 
 def test_closure_cap_truncates():
@@ -326,17 +339,16 @@ def test_row_table_products_match_mat_mul():
 
 
 @pytest.mark.parametrize("family,degree,q,cap,expected", [
-    (Family.GL, 8, 4, 10, (14, True, 3)),    # an 8 x 16-bit key, wider than 64 bits
-    (Family.GL, 20, 2, 10, (11, True, 3)),   # q**n = 2**20, the largest allowed
-    # many wide keys sharing their leading bytes
-    (Family.GL, 8, 4, 200_000, (200066, True, 19)),
-    (Family.GL, 20, 2, 200_000, (242380, True, 24)),
-    (Family.SU, 6, 2, 200_000, (261043, True, 19)),
+    # Sp(8,2): eight 8-bit rows fill the 64-bit key, and row 7 reaches its top bit
+    (Family.SP, 8, 2, 10, (11, True, 3)),
+    (Family.SP, 8, 2, 1000, (1064, True, 13)),
+    (Family.SP, 8, 2, 200_000, (204_440, True, 25)),
 ])
 def test_truncated_closures_are_pinned(family, degree, q, cap, expected):
-    pair = generator_pair(GroupSpec(family, degree, q))
-    result = closure([pair.a, pair.b], cap=cap)
+    gens = _pair(family, degree, q)
+    result = closure(gens, cap=cap)
     assert (result.size, result.truncated, result.frontier_rounds) == expected
+    assert enumeration._python_closure(gens, cap)[0] == result
 
 
 def test_closure_rejects_q_power_n_above_the_limit_before_building_tables(monkeypatch):
@@ -347,6 +359,30 @@ def test_closure_rejects_q_power_n_above_the_limit_before_building_tables(monkey
     pair = generator_pair(GroupSpec(Family.GL, 21, 2))
     with pytest.raises(ValueError, match=r"q\*\*n <= 2\*\*20"):
         closure([pair.a, pair.b], cap=10)
+
+
+# Closures whose keys need more than 64 bits, which closure() refuses:
+# (family, degree, q, cap, key bits)
+WIDE_KEYS = [
+    (Family.GL, 8, 4, 10, 128),
+    (Family.GL, 8, 4, 1000, 128),
+    (Family.GL, 8, 4, 200_000, 128),
+    (Family.GL, 20, 2, 10, 400),   # q**n = 2**20, the largest table allowed
+    (Family.GL, 20, 2, 100, 400),
+    (Family.GL, 20, 2, 200_000, 400),
+    (Family.SU, 6, 2, 200_000, 72),  # the smallest covered group with such keys
+]
+
+
+@pytest.mark.parametrize("family,degree,q,cap,bits", WIDE_KEYS)
+def test_closure_refuses_keys_wider_than_one_word_before_building_tables(
+        monkeypatch, family, degree, q, cap, bits):
+    def no_tables(g):
+        raise AssertionError("a row table was built")
+
+    monkeypatch.setattr(enumeration, "_row_table", no_tables)
+    with pytest.raises(ValueError, match=rf"<= 64 \(one-word key limit\).* needs {bits} bits"):
+        closure(_pair(family, degree, q), cap=cap)
 
 
 SL23_ELEMENT_BLOBS = [
@@ -385,7 +421,7 @@ def test_group_elements_sl23_discovery_order():
 
 
 # ---------------------------------------------------------------------------
-# Packed keys and the sorted visited set, against a Python-set BFS
+# One-word keys and the sorted visited set, against a Python-set BFS
 # ---------------------------------------------------------------------------
 
 def _pair(family, degree, q):
@@ -410,13 +446,9 @@ def test_closure_and_discovery_order_match_the_set_oracle(family, degree, q):
 
 
 @pytest.mark.parametrize("family,degree,q,cap", [
-    *[(family, degree, q, cap)
-      for family, degree, q in [(Family.SL, 2, 3), (Family.SU, 4, 2), (Family.GL, 3, 3)]
-      for cap in (1, 10, 100, 1000)],
-    (Family.GL, 8, 4, 10),      # two-word keys
-    (Family.GL, 8, 4, 1000),
-    (Family.GL, 20, 2, 100),    # seven-word keys
-])
+    (family, degree, q, cap)
+    for family, degree, q in [(Family.SL, 2, 3), (Family.SU, 4, 2), (Family.GL, 3, 3)]
+    for cap in (1, 10, 100, 1000)])
 def test_capped_closures_match_the_set_oracle(family, degree, q, cap):
     gens = _pair(family, degree, q)
     want, _ = set_closure(gens, cap)
@@ -424,87 +456,66 @@ def test_capped_closures_match_the_set_oracle(family, degree, q, cap):
     assert (got.size, got.truncated, got.frontier_rounds) == want
 
 
-@pytest.mark.parametrize("n,bits,words", [(3, 20, 1), (8, 16, 2), (13, 13, 3), (20, 20, 7)])
-def test_pack_keeps_matrices_differing_in_one_bit_apart(n, bits, words):
-    rng = np.random.default_rng(7)
-    base = rng.integers(0, 2**bits, size=(50, n))
-    rows = [base]
-    for i in range(n):
-        flipped = base.copy()
-        flipped[:, i] ^= 1 << rng.integers(0, bits, size=50)
-        rows.append(flipped)
-    rows = np.concatenate(rows)
-    keys = _pack(rows, bits)
-    assert keys.shape == (len(rows),)
-    assert keys.dtype == (np.uint64 if words == 1 else np.dtype((np.void, 8 * words)))
-    assert len(set(keys.tolist())) == len(set(map(tuple, rows.tolist())))
-    # row i fills bits [i*bits, (i+1)*bits) of w little-endian 64-bit words
-    packed = [sum(code << (i * bits) for i, code in enumerate(row)) for row in rows.tolist()]
-    want = [[value >> (64 * word) & (2**64 - 1) for word in range(words)] for value in packed]
-    assert np.frombuffer(keys.tobytes(), dtype=np.uint64).reshape(-1, words).tolist() == want
+def _key(row_codes, bits):
+    """The key of a matrix: row i in bits [i*bits, (i+1)*bits)."""
+    return sum(code << (i * bits) for i, code in enumerate(row_codes))
 
 
-def test_dedup_returns_the_new_one_word_keys_in_index_order():
-    # distinct keys in random order, a third of them already visited
-    keys = np.random.default_rng(5).permutation(30000)[:20000].astype(np.uint64)
-    seen = set(range(0, 30000, 3))
-    merged, new = _dedup(np.array(sorted(seen), dtype=np.uint64), keys)
-    assert new.tolist() == [i for i, key in enumerate(keys.tolist()) if key not in seen]
-    assert merged.tolist() == sorted(seen | set(keys.tolist()))
+@pytest.mark.parametrize("p,k,n", [(2, 1, 8), (97, 1, 3), (3, 2, 3), (2, 2, 4), (5, 1, 2)])
+def test_product_of_keys_matches_mat_mul(p, k, n):
+    # (2, 1, 8) fills all 64 bits; (97, 1, 3) has 20-bit rows
+    ctx = field_create(p, k)
+    bits = (ctx.q**n - 1).bit_length()
+    rng = random.Random(41)
+    mats = [Mat(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)])
+            for _ in range(200)]
+    mats.append(Mat(ctx, [[ctx.q - 1] * n] * n))  # the largest code in every row
+    gen = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)])
+    keys = np.array([_key(_row_codes(m), bits) for m in mats], dtype=np.uint64)
+    before = keys.copy()
+    got = _product(keys, _row_table(gen), n, bits)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_key(_row_codes(m * gen), bits) for m in mats]
+    assert (keys == before).all()
 
 
-def _wide(words: list[tuple]) -> np.ndarray:
-    """Three-word keys as _pack makes them: one raw-bytes value per key."""
-    return np.array(words, dtype=np.uint64).view(np.dtype((np.void, 24)))[:, 0]
+def test_merge_returns_the_merged_array_and_the_new_keys_in_order():
+    # distinct keys in random order, a third of them already visited; half
+    # of them have the top bit set, so the order must be unsigned
+    rng = np.random.default_rng(5)
+    values = rng.permutation(30000)[:20000].tolist()
+    top = 1 << 63
+    keys = [v + top * (v % 2) for v in values]
+    seen = {v + top * (v % 2) for v in range(0, 30000, 3)}
+    merged, new = _merge(np.array(sorted(seen), dtype=np.uint64), np.array(keys, dtype=np.uint64))
+    assert merged.dtype == new.dtype == np.uint64
+    assert new.tolist() == sorted(set(keys) - seen)
+    assert merged.tolist() == sorted(seen | set(keys))
 
 
-def _visited(words: list[tuple]) -> np.ndarray:
-    """The sorted visited array of three-word keys; raw bytes sort bytewise."""
-    return np.array(sorted(_wide(words).tolist()), dtype=np.dtype((np.void, 24)))
-
-
-def test_dedup_compares_every_word_of_wide_keys():
-    old = [(3, 9, 9), *[(5, j, 0) for j in range(0, 100, 2)], (5, 4, 1), (8, 0, 0)]
-    batch = [
-        (5, 3, 0),    # new: word 0 ties with 51 visited keys
-        (5, 4, 0),    # visited
-        (5, 4, 2),    # new: differs from two visited keys only in word 2
-        (3, 9, 9),    # visited
-        (5, 99, 0),   # new: after every tie on word 0
-        (4, 3, 0),    # new: differs from index 0 only in word 0
-        (5, 0, 0),    # visited, first of its tie
-        (9, 0, 0),    # new: after every visited key
-    ]
-    merged, new = _dedup(_visited(old), _wide(batch))
-    assert new.tolist() == [0, 2, 4, 5, 7]
-    assert merged.tolist() == sorted(set(_wide(old + batch).tolist()))
-
-
-def test_dedup_merges_wide_keys_sharing_an_insertion_position():
-    old = [(1, 0, 0), (9, 0, 0)]
-    batch = [(5, 2, 7), (5, 0, 0), (3, 0, 0), (5, 1, 0), (5, 0, 1)]
-    merged, new = _dedup(_visited(old), _wide(batch))
-    assert new.tolist() == [0, 1, 2, 3, 4]
-    got = merged.tolist()
-    assert all(a < b for a, b in zip(got, got[1:]))
-    assert set(got) == set(_wide(old + batch).tolist())
+def test_merge_inserts_keys_sharing_a_position():
+    visited = np.array([10, 20], dtype=np.uint64)
+    batch = [15, 25, 20, 5, 11, 3, 2**64 - 1, 19, 10]
+    merged, new = _merge(visited, np.array(batch, dtype=np.uint64))
+    assert new.tolist() == [3, 5, 11, 15, 19, 25, 2**64 - 1]
+    assert merged.tolist() == [3, 5, 10, 11, 15, 19, 20, 25, 2**64 - 1]
 
 
 @pytest.mark.parametrize("family,degree,q,size", [
     *CLOSURE_GRID,
-    (Family.GL, 8, 4, 200066),    # two-word keys
+    (Family.SP, 8, 2, 204440),    # 64-bit keys
     (Family.SP, 6, 2, 203922),
 ])
-def test_dedup_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, q, size):
-    # _dedup relies on it: one generator's products of a distinct frontier
+def test_merge_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, q, size):
+    # _merge relies on it: one generator's products of a distinct frontier
     batches = []
 
-    def spy(visited, keys, _real=_dedup):
+    def spy(visited, keys, _real=_merge):
         batches.append(len(keys))
         assert len(np.unique(keys)) == len(keys)
         return _real(visited, keys)
 
-    monkeypatch.setattr(enumeration, "_dedup", spy)
+    monkeypatch.setattr(enumeration, "_merge", spy)
     assert closure(_pair(family, degree, q), cap=200_000).size == size
     assert batches
 

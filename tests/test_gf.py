@@ -13,7 +13,7 @@ from classgen import (
     frobenius,
     poly_string,
 )
-from classgen.gf import _is_irreducible, _is_prime
+from classgen.gf import _is_irreducible, _is_prime, _poly_mulmod, _poly_power
 from oracles import brute_order, reference_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
@@ -285,6 +285,26 @@ def test_inverses_exhaustive(p, k):
         a = ctx.from_code(code)
         assert a * (ctx.one / a) == ctx.one
         assert a ** (ctx.q - 1) == ctx.one
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 200) if _is_prime(p)])
+def test_prime_field_arithmetic_matches_the_polynomial_path(p):
+    # GF(p) does add, neg, mul and inv as integers mod p; the polynomial
+    # path works on coefficient lists, of length 1 here.  Every pair for
+    # p < 50, a seeded sample of pairs above, every element for neg and inv.
+    ctx = field_create(p, 1)
+    mod_low = ctx.modulus[:1]
+    rng = random.Random(p)
+    pairs = (itertools.product(range(p), repeat=2) if p < 50 else
+             [(0, p - 1), (p - 1, p - 1)] + [(rng.randrange(p), rng.randrange(p))
+                                             for _ in range(1000)])
+    for a, b in pairs:
+        assert ctx.add_code(a, b) == ctx.coeffs_to_code([a + b])
+        assert ctx.mul_code(a, b) == _poly_mulmod([a], [b], mod_low, p, 1)[0]
+    for a in range(p):
+        assert ctx.neg_code(a) == ctx.coeffs_to_code([-a])
+        if a:
+            assert ctx.inv_code(a) == _poly_power([a], p - 2, mod_low, p, 1)[0]
 
 
 def test_pow_negative_and_zero():

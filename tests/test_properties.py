@@ -11,8 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classgen import Family, GroupSpec, cli, generator_pair, is_member
+from classgen import Family, GroupSpec, cli, closure, generator_pair, is_member
+from classgen.enumeration import _python_closure
 from classgen.gf import DEFAULT_FIELD_CAP
+from test_acceptance import CLOSURE_GRID
 
 
 def _prime_powers(limit: int) -> list[int]:
@@ -97,3 +99,21 @@ def test_cli_exit_codes_are_documented_and_never_a_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def capped_generator_lists(draw):
+    """A small grid pair in a random order with one generator repeated, and a
+    cap in [1, |G| + 1]."""
+    family, degree, q, order = draw(st.sampled_from([c for c in CLOSURE_GRID if c[3] <= 6048]))
+    pair = generator_pair(GroupSpec(family, degree, q))
+    gens = draw(st.permutations([pair.a, pair.b]))
+    gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    return gens, draw(st.integers(1, order + 1))
+
+
+@PROPERTY
+@given(capped_generator_lists())
+def test_closure_matches_the_python_bfs_at_any_cap_order_and_repeat(case):
+    gens, cap = case
+    assert closure(gens, cap) == _python_closure(gens, cap)[0]
