@@ -35,8 +35,8 @@ from _python_closure, so only closure() loads numpy.
 
 from __future__ import annotations
 
+import collections
 import enum
-from typing import NamedTuple
 
 from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
@@ -56,18 +56,10 @@ class Verdict(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-class ClosureResult(NamedTuple):
-    size: int
-    truncated: bool
-    frontier_rounds: int
-
-
-class Certificate(NamedTuple):
-    spec: GroupSpec
-    membership_ok: bool
-    expected_order: int
-    closure: ClosureResult | None  # None when membership failed: no search ran
-    verdict: Verdict
+ClosureResult = collections.namedtuple("ClosureResult", "size truncated frontier_rounds")
+# closure is None when membership failed: no search ran.
+Certificate = collections.namedtuple(
+    "Certificate", "spec membership_ok expected_order closure verdict")
 
 
 def _check_cap(cap) -> int:

@@ -29,7 +29,7 @@ power are unsupported.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import collections
 
 from classgen.atoms import (
     DualKind,
@@ -69,12 +69,8 @@ from classgen.spec import (
 )
 
 
-class GeneratorPair(NamedTuple):
-    a: Mat
-    b: Mat
-    spec: GroupSpec
-    ctx: FieldCtx
-    case_label: str
+# a and b are Mats over ctx, the field of spec.
+GeneratorPair = collections.namedtuple("GeneratorPair", "a b spec ctx case_label")
 
 
 def field_for(spec: GroupSpec) -> FieldCtx:

@@ -9,8 +9,8 @@ conj(X)^T J X = J.
 
 from __future__ import annotations
 
+import collections
 import enum
-from typing import NamedTuple
 
 from classgen.gf import FieldCtx, FieldElem
 from classgen.matrix import Mat
@@ -21,10 +21,8 @@ class FormKind(enum.Enum):
     UNITARY = "unitary"
 
 
-class GramForm(NamedTuple):
-    kind: FormKind
-    dim: int
-    j: Mat
+# j is the dim x dim Gram Mat of the form of the given FormKind.
+GramForm = collections.namedtuple("GramForm", "kind dim j")
 
 
 def gram(ctx: FieldCtx, kind: FormKind, dim: int) -> GramForm:

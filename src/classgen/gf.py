@@ -370,7 +370,8 @@ class FieldElem:
         return FieldElem(self.ctx, self.ctx.mul_code(c, self.ctx.inv_code(self.code)))
 
     def __pow__(self, e: int):
-        return FieldElem(self.ctx, self.ctx.pow_code(self.code, int(e)))
+        # operator.index, not int(): a float exponent is a TypeError, not truncated.
+        return FieldElem(self.ctx, self.ctx.pow_code(self.code, operator.index(e)))
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):

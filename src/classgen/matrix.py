@@ -116,6 +116,7 @@ class Mat:
         return Mat(self.ctx, out)
 
     def __pow__(self, e: int):
+        e = operator.index(e)  # a float exponent is a TypeError
         if e < 0:
             return self.inverse() ** (-e)
         out = Mat.identity(self.ctx, self.n)

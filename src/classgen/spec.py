@@ -7,10 +7,10 @@ can refuse parameters and print orders without loading the matrix modules.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import operator
-from typing import NamedTuple
 
 MAX_Q = 2**40
 DEFAULT_CAP = 2_000_000
@@ -65,13 +65,7 @@ def _as_int(x) -> int | None:
         return None
 
 
-class _SpecFields(NamedTuple):
-    family: Family
-    degree: int
-    q: int
-
-
-class GroupSpec(_SpecFields):
+class GroupSpec(collections.namedtuple("_SpecFields", "family degree q")):
     """A validated (family, degree, q): an immutable named tuple."""
 
     __slots__ = ()

@@ -9,6 +9,7 @@ from classgen import (
     elem_h,
     elem_x,
     field_create,
+    frobenius,
     gram,
     hat_h,
     hat_w,
@@ -30,6 +31,7 @@ GF3 = field_create(3, 1)
 GF4 = field_create(2, 2)
 GF5 = field_create(5, 1)
 GF9 = field_create(3, 2)
+GF16 = field_create(2, 4)
 GF25 = field_create(5, 2)
 
 
@@ -254,6 +256,37 @@ def test_w_prime_goldens():
         [1, 0, 0, 0, 0], [0, 0, 0, 1, 0]]
     # odd characteristic: the midpoint entry is -1
     assert w_prime(GF9, 2).entry(2, 2) == -GF9.one
+
+
+def test_tilde_atom_errors():
+    with pytest.raises(ValueError, match="^tilde_h needs a nonzero scalar$"):
+        tilde_h(GF9, 1, 0, 4, DualKind.U_EVEN)
+    with pytest.raises(ValueError, match="^tilde_x needs distinct indices i and j$"):
+        tilde_x(GF9, 2, 2, 1, 4, DualKind.U_EVEN)
+    with pytest.raises(ValueError, match="^n = 1 must be at least 2$"):
+        tilde_w(GF9, 1, special_scalar_eta(GF9, 3))
+    with pytest.raises(ValueError, match="^n = 0 must be at least 1$"):
+        w_prime(GF4, 0)
+
+
+@pytest.mark.parametrize("ctx", [GF9, GF16], ids=["GF9", "GF16"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_hat_atoms_are_the_tilde_atoms_with_the_identity_twist(ctx, n):
+    # Conjugation fixes the subfield GF(q0), where hat and tilde scalars
+    # agree, and SP and U_EVEN pair the same coordinates.  In characteristic
+    # 2, eta = 1 satisfies eta + conj(eta) = 0, so hat w is tilde w at eta = 1.
+    deg = 2 * n
+    fixed = [a for a in ctx.elements() if a and frobenius(a) == a]
+    assert len(fixed) == ctx.subfield_order() - 1
+    if ctx.p == 2:
+        assert hat_w(ctx, n) == tilde_w(ctx, n, 1)
+    for a in fixed:
+        for i in range(1, n + 1):
+            assert hat_h(ctx, i, a, n) == tilde_h(ctx, i, a, deg, DualKind.U_EVEN)
+            for j in range(1, n + 1):
+                if j != i:
+                    assert hat_x(ctx, i, j, a, n) == tilde_x(ctx, i, j, a, deg,
+                                                             DualKind.U_EVEN)
 
 
 def test_unitary_degree_kind_validation():

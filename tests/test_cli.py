@@ -147,6 +147,34 @@ def test_gens_text_emit_form_none(capsys):
     assert out.splitlines()[-1] == "form: none"
 
 
+def test_gens_text_emit_form_symplectic(capsys):
+    code, out, _ = run_main(capsys, ["gens", "--family", "sp", "--degree", "4",
+                                     "--q", "3", "--format", "text", "--emit-form"])
+    assert code == 0
+    assert out == """\
+family: sp
+degree: 4
+q: 3
+case: Sp, q odd, n > 1
+field: GF(3), p=3, k=1, modulus=[0, 1], xi=[2]
+generator a:
+  2 0 0 0
+  0 1 0 0
+  0 0 1 0
+  0 0 0 2
+generator b:
+  1 0 1 0
+  1 0 0 0
+  0 1 0 1
+  0 2 0 0
+form: symplectic
+  0 0 0 1
+  0 0 1 0
+  0 2 0 0
+  2 0 0 0
+"""
+
+
 def test_gens_gap_format(capsys):
     code, out, _ = run_main(capsys, ["gens", "--family", "sl", "--degree", "2",
                                      "--q", "3", "--format", "gap"])

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -214,6 +215,34 @@ def test_int_coercion_reduces_mod_p():
     assert (a * np.int32(3)).code == 1
     with pytest.raises(TypeError):
         ctx.elem(2.0)
+
+
+@pytest.mark.parametrize("bad", [2.0, 0.5, np.float64(2)], ids=repr)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=lambda op: op.__name__)
+def test_arithmetic_with_a_float_raises_type_error(op, bad):
+    a = field_create(5, 1).xi
+    with pytest.raises(TypeError):
+        op(a, bad)
+    with pytest.raises(TypeError):
+        op(bad, a)
+
+
+def test_from_code_refuses_codes_outside_the_field():
+    ctx = field_create(3, 2)
+    for code in (-1, ctx.q):
+        with pytest.raises(ValueError, match="out of range"):
+            ctx.from_code(code)
+
+
+def test_pow_refuses_a_float_exponent():
+    # int(2.5) would truncate: xi ** 2.5 must not be xi ** 2.
+    xi = field_create(5, 1).xi
+    for e in (2.5, 2.0, np.float64(2)):
+        with pytest.raises(TypeError):
+            xi ** e
+    assert xi ** np.int64(2) == xi ** np.uint8(2) == xi ** 2
+    assert xi ** np.int32(-1) == xi ** -1
 
 
 def test_zero_division_raises():

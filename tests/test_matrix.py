@@ -179,6 +179,15 @@ def test_pow():
     assert (w ** 6) == Mat.identity(GF5, 3)
 
 
+def test_pow_refuses_a_float_exponent():
+    w = cycle_w(GF5, 3)
+    for e in (0.0, 1.5, 2.0, np.float64(1)):
+        with pytest.raises(TypeError):
+            w ** e
+    assert w ** np.int64(3) == w ** np.uint8(3) == w ** 3
+    assert w ** np.int32(-2) == w ** -2
+
+
 # ---------------------------------------------------------------------------
 # Transpose and conjugate transpose
 # ---------------------------------------------------------------------------
