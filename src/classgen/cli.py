@@ -5,6 +5,9 @@ Subcommands:
   certify  run the closure certification and set the exit code
   order    print the theoretical group order
 
+gens builds the pair, and the form with --emit-form, before it prints; the
+writer of the chosen format then yields the output, printed line by line.
+
 Exit codes: 0 success / PASS, 1 FAIL, 2 unsupported parameters,
 3 usage error or a documented size limit, 4 INDETERMINATE (the cap
 truncated the closure), 5 internal error (a bug; never a verdict).  A FAIL
@@ -36,106 +39,101 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _rows_payload(m) -> list:
-    return [[list(e.coeffs) for e in row] for row in m.rows()]
-
-
-def _dumps(node, indent: str = "") -> str:
-    """json.dumps(indent=2), but coefficient vectors and matrix rows (non-empty
-    lists of ints or of non-empty int lists) stay on one line, so the output
-    reads well for humans as well as parsers."""
+def _json_lines(spec, pair, form, emit_form: bool):
+    """Indent 2, each coefficient list and matrix row on one line.  str() of an
+    int or of a list of ints is already its JSON."""
     import json
 
-    def ints(xs) -> bool:
-        return all(isinstance(x, int) for x in xs)
+    def rows(m, indent: str):
+        yield f'{indent}"rows": ['
+        for i, row in enumerate(m.rows(), 1):
+            entries = ", ".join(str(list(e.coeffs)) for e in row)
+            yield f"{indent}  [{entries}]" + ("," if i < m.n else "")
+        yield f"{indent}]"
 
-    inner = indent + "  "
-    if isinstance(node, dict):
-        items = [f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in node.items()]
-        brackets = "{}"
-    elif not isinstance(node, list):
-        return json.dumps(node)
-    elif node and (ints(node) or all(isinstance(x, list) and x and ints(x) for x in node)):
-        return json.dumps(node, separators=(", ", ": "))
-    else:
-        items, brackets = [_dumps(x, inner) for x in node], "[]"
-    if not items:
-        return brackets
-    body = ",\n".join(inner + item for item in items)
-    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
+    yield "{"
+    yield f'  "family": {json.dumps(spec.family.value)},'
+    yield f'  "degree": {spec.degree},'
+    yield f'  "q": {spec.q},'
+    yield f'  "case_label": {json.dumps(pair.case_label)},'
+    yield '  "field": {'
+    yield f'    "p": {pair.ctx.p},'
+    yield f'    "k": {pair.ctx.k},'
+    yield f'    "modulus": {list(pair.ctx.modulus)},'
+    yield f'    "xi": {list(pair.ctx.xi.coeffs)}'
+    yield "  },"
+    yield '  "generators": ['
+    for m, end in (pair.a, ","), (pair.b, ""):
+        yield "    {"
+        yield from rows(m, "      ")
+        yield "    }" + end
+    yield "  ]," if emit_form else "  ]"
+    if emit_form and form is None:
+        yield '  "form": null'
+    elif emit_form:
+        yield '  "form": {'
+        yield f'    "kind": {json.dumps(form.kind.value)},'
+        yield from rows(form.j, "    ")
+        yield "  }"
+    yield "}"
 
 
-def _text_rows(m) -> list[str]:
-    return ["  " + line for line in str(m).splitlines()]
+def _text_lines(spec, pair, form, emit_form: bool):
+    ctx = pair.ctx
+    yield f"family: {spec.family.value}"
+    yield f"degree: {spec.degree}"
+    yield f"q: {spec.q}"
+    yield f"case: {pair.case_label}"
+    yield (f"field: GF({ctx.q}), p={ctx.p}, k={ctx.k}, "
+           f"modulus={list(ctx.modulus)}, xi={list(ctx.xi.coeffs)}")
+    for title, m in ("generator a:", pair.a), ("generator b:", pair.b):
+        yield title
+        yield from ("  " + line for line in str(m).splitlines())
+    if emit_form:
+        yield f"form: {'none' if form is None else form.kind.value}"
+    if form is not None:
+        yield from ("  " + line for line in str(form.j).splitlines())
+
+
+def _gap_lines(spec, pair, form, emit_form: bool):
+    """Entries as powers of xi, the xi mapping stated up front."""
+    from classgen.gf import poly_string
+
+    ctx = pair.ctx
+
+    def matrix(name: str, m):
+        yield f"{name} := ["
+        for i, row in enumerate(m.rows(), 1):
+            entries = ", ".join(f"xi^{ctx.dlog_code(e.code)}" if e else "0*xi^0" for e in row)
+            yield f"  [ {entries} ]" + ("," if i < m.n else "")
+        yield "];"
+
+    yield (f"# family {spec.family.value}, degree {spec.degree}, q {spec.q}, "
+           f"case: {pair.case_label}")
+    yield f"# field GF({ctx.q}) = GF({ctx.p})[t] / ({poly_string(ctx.modulus)})"
+    yield (f"# xi is the primitive element with coefficients {list(ctx.xi.coeffs)} "
+           f"(constant term first)")
+    yield "# entries are powers of xi; zero prints as 0*xi^0"
+    yield from matrix("a", pair.a)
+    yield from matrix("b", pair.b)
+    if emit_form:
+        yield f"# form: {'none' if form is None else form.kind.value}"
+    if form is not None:
+        yield from matrix("j", form.j)
+
+
+_WRITERS = {"json": _json_lines, "text": _text_lines, "gap": _gap_lines}
 
 
 def cmd_gens(args) -> int:
     spec = GroupSpec(parse_family(args.family), args.degree, args.q)
     check_gens_limit(spec)
     from classgen.families import form_for, generator_pair
-    from classgen.gf import field_to_json, poly_string
 
     pair = generator_pair(spec)
-    ctx = pair.ctx
-    form = form_for(spec, ctx) if args.emit_form else None
-    form_name = "none" if form is None else form.kind.value
-
-    if args.format == "json":
-        payload = {
-            "family": spec.family.value,
-            "degree": spec.degree,
-            "q": spec.q,
-            "case_label": pair.case_label,
-            "field": field_to_json(ctx),
-            "generators": [
-                {"rows": _rows_payload(pair.a)},
-                {"rows": _rows_payload(pair.b)},
-            ],
-        }
-        if args.emit_form:
-            payload["form"] = None if form is None else {
-                "kind": form_name, "rows": _rows_payload(form.j)}
-        lines = [_dumps(payload)]
-    elif args.format == "text":
-        lines = [
-            f"family: {spec.family.value}",
-            f"degree: {spec.degree}",
-            f"q: {spec.q}",
-            f"case: {pair.case_label}",
-            f"field: GF({ctx.q}), p={ctx.p}, k={ctx.k}, "
-            f"modulus={list(ctx.modulus)}, xi={list(ctx.xi.coeffs)}",
-            "generator a:",
-            *_text_rows(pair.a),
-            "generator b:",
-            *_text_rows(pair.b),
-        ]
-        if args.emit_form:
-            lines.append(f"form: {form_name}")
-        if form is not None:
-            lines += _text_rows(form.j)
-    else:  # gap: entries as powers of xi, the xi mapping stated up front
-        def gap_row(row) -> str:
-            return "  [ " + ", ".join(
-                f"xi^{ctx.dlog_code(e.code)}" if e else "0*xi^0" for e in row) + " ]"
-
-        def gap_matrix(name: str, m) -> list[str]:
-            return [f"{name} := [", ",\n".join(map(gap_row, m.rows())), "];"]
-
-        lines = [
-            f"# family {spec.family.value}, degree {spec.degree}, q {spec.q}, "
-            f"case: {pair.case_label}",
-            f"# field GF({ctx.q}) = GF({ctx.p})[t] / ({poly_string(ctx.modulus)})",
-            f"# xi is the primitive element with coefficients {list(ctx.xi.coeffs)} "
-            f"(constant term first)",
-            "# entries are powers of xi; zero prints as 0*xi^0",
-            *gap_matrix("a", pair.a),
-            *gap_matrix("b", pair.b),
-        ]
-        if args.emit_form:
-            lines.append(f"# form: {form_name}")
-        if form is not None:
-            lines += gap_matrix("j", form.j)
-    print("\n".join(lines))
+    form = form_for(spec, pair.ctx) if args.emit_form else None
+    for line in _WRITERS[args.format](spec, pair, form, args.emit_form):
+        print(line)
     return 0
 
 
@@ -215,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gens = sub.add_parser("gens", help="print the generator pair")
     _add_common(p_gens)
-    p_gens.add_argument("--format", choices=("json", "text", "gap"), default="json")
+    p_gens.add_argument("--format", choices=tuple(_WRITERS), default="json")
     p_gens.add_argument("--emit-form", action="store_true",
                         help="also print the preserved Gram matrix (sp/gu/su)")
     p_gens.set_defaults(func=cmd_gens)

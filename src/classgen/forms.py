@@ -77,12 +77,11 @@ def special_scalar_eta(ctx: FieldCtx, q: int) -> FieldElem:
 
 
 def special_scalar_beta(ctx: FieldCtx, q: int) -> FieldElem:
-    """beta with beta + conj(beta) = -1, namely -(1 + xi**(q-1))^-1."""
+    """beta with beta + conj(beta) = -1, namely -(1 + xi**(q-1))^-1.  The inverse
+    exists: xi**(q-1) has order q + 1 > 2, so it is not -1 (a hand-built context
+    with a non-primitive xi raises ZeroDivisionError here)."""
     _check_quadratic(ctx, q)
-    denom = ctx.one + ctx.xi ** (q - 1)
-    if not denom:
-        raise ArithmeticError("1 + xi**(q-1) vanished; no valid beta")
-    return -(denom ** -1)
+    return -((ctx.one + ctx.xi ** (q - 1)) ** -1)
 
 
 def _check_quadratic(ctx: FieldCtx, q: int) -> None:

@@ -379,10 +379,11 @@ class FieldElem:
         code = _as_int(other)
         if code is None:
             return NotImplemented
-        return self.code == code % self.ctx.p
+        # An int equals only the prime-field element it names: equal objects hash alike.
+        return code == self.code and code < self.ctx.p
 
     def __hash__(self):
-        return hash((self.ctx.q, self.code))
+        return hash(self.code)
 
     def __bool__(self):
         return self.code != 0

@@ -19,6 +19,9 @@ from test_closure import hand_pair_of
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 # The benchmark's byte-exact `classgen gens` outputs; read here, never written.
 GENS_FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "gens"
+# (family, degree, q) of every fixture, named family_degree_q.json: the grid and
+# the big-field specs.
+GENS_FIXTURE_SPECS = [tuple(path.stem.split("_")) for path in sorted(GENS_FIXTURES.glob("*.json"))]
 
 
 def run_main(capsys, argv):
@@ -104,24 +107,99 @@ def test_gens_json_emit_form_symplectic(capsys):
     assert out == SP_4_3_WITH_FORM
 
 
-@pytest.mark.parametrize("family,degree,q", [
-    (family.value, degree, q) for family, degree, q, _ in CLOSURE_GRID])
+def test_every_grid_spec_has_a_benchmark_fixture():
+    assert {(family.value, str(degree), str(q)) for family, degree, q, _ in CLOSURE_GRID} \
+        <= set(GENS_FIXTURE_SPECS)
+
+
+@pytest.mark.parametrize("family,degree,q", GENS_FIXTURE_SPECS)
 def test_gens_json_matches_the_benchmark_fixture(capsys, family, degree, q):
-    code, out, _ = run_main(capsys, ["gens", "--family", family, "--degree", str(degree),
-                                     "--q", str(q)])
+    code, out, _ = run_main(capsys, ["gens", "--family", family, "--degree", degree, "--q", q])
     assert code == 0
     assert out.encode() == (GENS_FIXTURES / f"{family}_{degree}_{q}.json").read_bytes()
+
+
+SU_3_2_WITH_FORM = """\
+{
+  "family": "su",
+  "degree": 3,
+  "q": 2,
+  "case_label": "SU(3,2)",
+  "field": {
+    "p": 2,
+    "k": 2,
+    "modulus": [1, 1, 1],
+    "xi": [0, 1]
+  },
+  "generators": [
+    {
+      "rows": [
+        [[1, 0], [0, 1], [0, 1]],
+        [[0, 0], [1, 0], [1, 1]],
+        [[0, 0], [0, 0], [1, 0]]
+      ]
+    },
+    {
+      "rows": [
+        [[0, 1], [1, 0], [1, 0]],
+        [[1, 0], [1, 0], [0, 0]],
+        [[1, 0], [0, 0], [0, 0]]
+      ]
+    }
+  ],
+  "form": {
+    "kind": "unitary",
+    "rows": [
+      [[0, 0], [0, 0], [1, 0]],
+      [[0, 0], [1, 0], [0, 0]],
+      [[1, 0], [0, 0], [0, 0]]
+    ]
+  }
+}
+"""
+
+GL_3_5_WITH_FORM = """\
+{
+  "family": "gl",
+  "degree": 3,
+  "q": 5,
+  "case_label": "GL, q > 2",
+  "field": {
+    "p": 5,
+    "k": 1,
+    "modulus": [0, 1],
+    "xi": [2]
+  },
+  "generators": [
+    {
+      "rows": [
+        [[2], [0], [0]],
+        [[0], [1], [0]],
+        [[0], [0], [1]]
+      ]
+    },
+    {
+      "rows": [
+        [[4], [0], [1]],
+        [[4], [0], [0]],
+        [[0], [4], [0]]
+      ]
+    }
+  ],
+  "form": null
+}
+"""
 
 
 def test_gens_json_emit_form_unitary_and_none(capsys):
     code, out, _ = run_main(capsys, ["gens", "--family", "su", "--degree", "3",
                                      "--q", "2", "--emit-form"])
     assert code == 0
-    assert json.loads(out)["form"]["kind"] == "unitary"
+    assert out == SU_3_2_WITH_FORM
     code, out, _ = run_main(capsys, ["gens", "--family", "gl", "--degree", "3",
                                      "--q", "5", "--emit-form"])
     assert code == 0
-    assert json.loads(out)["form"] is None
+    assert out == GL_3_5_WITH_FORM
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +253,31 @@ form: symplectic
 """
 
 
+def test_gens_text_emit_form_unitary(capsys):
+    code, out, _ = run_main(capsys, ["gens", "--family", "gu", "--degree", "3",
+                                     "--q", "2", "--format", "text", "--emit-form"])
+    assert code == 0
+    assert out == """\
+family: gu
+degree: 3
+q: 2
+case: U(2n+1,q)
+field: GF(4), p=2, k=2, modulus=[1, 1, 1], xi=[0, 1]
+generator a:
+  (0,1) (0,0) (0,0)
+  (0,0) (1,0) (0,0)
+  (0,0) (0,0) (0,1)
+generator b:
+  (0,1) (1,0) (1,0)
+  (1,0) (1,0) (0,0)
+  (1,0) (0,0) (0,0)
+form: unitary
+  (0,0) (0,0) (1,0)
+  (0,0) (1,0) (0,0)
+  (1,0) (0,0) (0,0)
+"""
+
+
 def test_gens_gap_format(capsys):
     code, out, _ = run_main(capsys, ["gens", "--family", "sl", "--degree", "2",
                                      "--q", "3", "--format", "gap"])
@@ -195,8 +298,49 @@ def test_gens_gap_states_the_modulus_for_extension_fields(capsys):
     code, out, _ = run_main(capsys, ["gens", "--family", "su", "--degree", "3",
                                      "--q", "2", "--format", "gap", "--emit-form"])
     assert code == 0
-    assert "GF(4) = GF(2)[t] / (t^2 + t + 1)" in out
-    assert "j := [" in out
+    assert out == """\
+# family su, degree 3, q 2, case: SU(3,2)
+# field GF(4) = GF(2)[t] / (t^2 + t + 1)
+# xi is the primitive element with coefficients [0, 1] (constant term first)
+# entries are powers of xi; zero prints as 0*xi^0
+a := [
+  [ xi^0, xi^1, xi^1 ],
+  [ 0*xi^0, xi^0, xi^2 ],
+  [ 0*xi^0, 0*xi^0, xi^0 ]
+];
+b := [
+  [ xi^1, xi^0, xi^0 ],
+  [ xi^0, xi^0, 0*xi^0 ],
+  [ xi^0, 0*xi^0, 0*xi^0 ]
+];
+# form: unitary
+j := [
+  [ 0*xi^0, 0*xi^0, xi^0 ],
+  [ 0*xi^0, xi^0, 0*xi^0 ],
+  [ xi^0, 0*xi^0, 0*xi^0 ]
+];
+"""
+
+
+def test_gens_gap_emit_form_none(capsys):
+    code, out, _ = run_main(capsys, ["gens", "--family", "gl", "--degree", "2",
+                                     "--q", "5", "--format", "gap", "--emit-form"])
+    assert code == 0
+    assert out == """\
+# family gl, degree 2, q 5, case: GL, q > 2
+# field GF(5) = GF(5)[t] / (t)
+# xi is the primitive element with coefficients [2] (constant term first)
+# entries are powers of xi; zero prints as 0*xi^0
+a := [
+  [ xi^1, 0*xi^0 ],
+  [ 0*xi^0, xi^0 ]
+];
+b := [
+  [ xi^2, xi^0 ],
+  [ xi^2, 0*xi^0 ]
+];
+# form: none
+"""
 
 
 @pytest.mark.parametrize("family,degree,q", [("gl", 2, 4096), ("gu", 3, 1024)])

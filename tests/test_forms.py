@@ -1,6 +1,7 @@
 import pytest
 
 from classgen import (
+    FieldCtx,
     FormKind,
     Mat,
     cycle_w,
@@ -17,6 +18,7 @@ from classgen import (
     special_scalar_eta,
     w_prime,
 )
+from classgen.gf import _is_prime
 
 GF2 = field_create(2, 1)
 GF3 = field_create(3, 1)
@@ -28,6 +30,9 @@ QUADRATIC = [(field_create(2, 2), 2), (field_create(3, 2), 3),
              (field_create(2, 4), 4), (field_create(5, 2), 5),
              (field_create(7, 2), 7), (field_create(2, 6), 8),
              (field_create(3, 4), 9)]
+# (GF(q0**2), q0) for every prime power q0 <= 64.
+QUADRATIC_TO_64 = [(field_create(p, 2 * k), p**k)
+                   for p in range(2, 65) if _is_prime(p) for k in range(1, 7) if p**k <= 64]
 
 
 def codes(m):
@@ -139,10 +144,17 @@ def test_beta_goldens():
     assert special_scalar_beta(field_create(5, 2), 5).coeffs == (1, 3)
 
 
-@pytest.mark.parametrize("ctx,q0", QUADRATIC, ids=lambda v: str(v))
+@pytest.mark.parametrize("ctx,q0", QUADRATIC_TO_64, ids=lambda v: str(v))
 def test_beta_trace_is_minus_one(ctx, q0):
     beta = special_scalar_beta(ctx, q0)
     assert beta + frobenius(beta, q0) == -ctx.one
+
+
+def test_beta_of_a_non_primitive_xi_raises():
+    # xi = t has order 4 in GF(3)[t] / (t^2 + 1), so 1 + xi**(3-1) = 0.
+    bad = FieldCtx(3, 2, (1, 0, 1), 3)
+    with pytest.raises(ZeroDivisionError):
+        special_scalar_beta(bad, 3)
 
 
 def test_scalars_reject_non_matching_fields():

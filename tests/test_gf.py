@@ -359,6 +359,18 @@ def test_elements_hashable_and_ordered_by_code():
     assert bool(ctx.zero) is False and bool(ctx.xi) is True
 
 
+def test_equality_with_ints_agrees_with_hash():
+    ctx = field_create(5, 1)
+    assert ctx.one == 1 and ctx.zero == 0 and ctx.one != 1.0
+    assert ctx.elem(3) != 8 and ctx.elem(3) != -2 and ctx.elem(3) == np.int64(3)
+    assert 1 in {ctx.one} and ctx.one in {1} and 8 not in {ctx.elem(3)}
+    assert {ctx.one: "one"}[1] == "one" and {1: "one"}[ctx.one] == "one"
+    gf9 = field_create(3, 2)
+    equal = [(e.code, x) for e in gf9.elements() for x in range(-10, 20) if e == x]
+    assert equal == [(0, 0), (1, 1), (2, 2)]
+    assert all(hash(gf9.from_code(code)) == hash(x) for code, x in equal)
+
+
 # ---------------------------------------------------------------------------
 # Frobenius
 # ---------------------------------------------------------------------------
@@ -445,6 +457,13 @@ def test_dlog_round_trips_on_the_largest_field():
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
+
+def test_reprs_and_comparison_with_other_types():
+    gf9 = field_create(3, 2)
+    assert repr(gf9.xi) == "FieldElem(GF(9), [1, 1])"
+    assert gf9 != 3 and not gf9 == 3
+    assert gf9 == field_create(3, 2) and gf9 != field_create(3, 1)
+
 
 def test_field_to_json_shape():
     payload = field_to_json(field_create(3, 2))

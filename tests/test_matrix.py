@@ -162,6 +162,11 @@ def test_mul_shape_and_field_mismatch():
         a * Mat.identity(GF9, 2)
 
 
+def test_mul_by_a_non_matrix_raises_type_error():
+    with pytest.raises(TypeError):
+        Mat.identity(GF3, 2) * 2
+
+
 def test_mul_associative_random():
     rng = random.Random(11)
     for _ in range(10):
@@ -296,9 +301,18 @@ def test_eq_and_hash_separate_all_matrices_exhaustive(ctx):
         assert copy == m and hash(copy) == hash(m)
 
 
+def test_eq_with_a_non_matrix_is_false():
+    m = Mat.identity(GF3, 2)
+    assert m != "x" and not m == "x"
+
+
 # ---------------------------------------------------------------------------
 # Display
 # ---------------------------------------------------------------------------
+
+def test_repr_names_field_and_degree():
+    assert repr(Mat.identity(GF9, 3)) == "Mat(GF(9), 3x3)"
+
 
 def test_str_prime_field_uses_bare_integers():
     m = Mat.from_rows(GF3, [[1, 2], [0, 1]])
