@@ -10,7 +10,9 @@ writer of the chosen format then yields the output, printed line by line.
 
 Exit codes: 0 success / PASS, 1 FAIL, 2 unsupported parameters,
 3 usage error or a documented size limit, 4 INDETERMINATE (the cap
-truncated the closure), 5 internal error (a bug; never a verdict).  A FAIL
+truncated the closure), 5 internal error (a bug; never a verdict),
+130 interrupted (Ctrl-C), 141 stdout closed by its reader (as in
+`| head`), printing nothing more.  A FAIL
 for a non-member generator runs no search, so certify then prints no size,
 rounds or truncated line.
 """
@@ -18,6 +20,7 @@ rounds or truncated line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from classgen.spec import (
@@ -236,7 +239,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except KeyboardInterrupt:
+        print("classgen: interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UnsupportedParametersError as exc:
         print(f"classgen: unsupported parameters: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,10 @@ a**((q-1)/r) != 1 by the norm test N(a)**((p-1)/r) != 1 in GF(p) (Lidl and
 Niederreiter, Finite Fields, section 2.3), with N(a) taken through the
 Frobenius matrix.
 
-Scalar arithmetic works on coefficient lists (mod p on a prime field), and
-so do the closure's row tables, built from mul_code.  FieldCtx.tables, the
-structure constants as a numpy array, is the only method that loads numpy.
+Scalar arithmetic is integer arithmetic mod p on a prime field.  For k > 1,
+addition, negation and subtraction share one base-p digit loop, and products
+and the closure's row tables (built from mul_code) work on coefficient lists.
+Only FieldCtx.tables, the structure constants as an array, loads numpy.
 """
 
 from __future__ import annotations
@@ -206,30 +207,24 @@ class FieldCtx:
     # -- arithmetic on codes -------------------------------------------------
 
     def add_code(self, a: int, b: int) -> int:
+        return (a + b) % self.p if self.k == 1 else self._add_digits(a, b, 1)
+
+    def neg_code(self, a: int) -> int:
+        return -a % self.p if self.k == 1 else self._add_digits(0, a, -1)
+
+    def sub_code(self, a: int, b: int) -> int:
+        return (a - b) % self.p if self.k == 1 else self._add_digits(a, b, -1)
+
+    def _add_digits(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b digit by digit: digit i is (a // p**i + sign * (b // p**i)) mod p."""
         p = self.p
-        if self.k == 1:
-            return (a + b) % p
         shift, out = 1, 0
-        for _ in range(self.k):
-            out += ((a % p + b % p) % p) * shift
+        while a or b:  # once both are 0, every digit left is 0
+            out += (a + sign * b) % p * shift
             a //= p
             b //= p
             shift *= p
         return out
-
-    def neg_code(self, a: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return -a % p
-        shift, out = 1, 0
-        for _ in range(self.k):
-            out += ((-(a % p)) % p) * shift
-            a //= p
-            shift *= p
-        return out
-
-    def sub_code(self, a: int, b: int) -> int:
-        return self.add_code(a, self.neg_code(b))
 
     def mul_code(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -305,6 +300,22 @@ class FieldCtx:
         raise AssertionError("xi does not generate the multiplicative group")
 
 
+def _div_code(ctx: FieldCtx, a: int, b: int) -> int:
+    return ctx.mul_code(a, ctx.inv_code(b))
+
+
+def _binary(op, reflected: bool = False):
+    """A FieldElem operator computing op(ctx, self.code, c), or op(ctx, c, self.code)
+    when reflected, where c is the other operand's code; see FieldElem._coerce."""
+    def method(self, other):
+        c = self._coerce(other)
+        if c is None:
+            return NotImplemented
+        ctx = self.ctx
+        return FieldElem(ctx, op(ctx, c, self.code) if reflected else op(ctx, self.code, c))
+    return method
+
+
 class FieldElem:
     """An element of a FieldCtx.  Immutable; supports field arithmetic operators."""
 
@@ -326,48 +337,15 @@ class FieldElem:
         code = _as_int(other)
         return None if code is None else code % self.ctx.p
 
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.add_code(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.sub_code(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.sub_code(c, self.code))
+    __add__ = __radd__ = _binary(FieldCtx.add_code)
+    __sub__ = _binary(FieldCtx.sub_code)
+    __rsub__ = _binary(FieldCtx.sub_code, reflected=True)
+    __mul__ = __rmul__ = _binary(FieldCtx.mul_code)
+    __truediv__ = _binary(_div_code)
+    __rtruediv__ = _binary(_div_code, reflected=True)
 
     def __neg__(self):
         return FieldElem(self.ctx, self.ctx.neg_code(self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.mul_code(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.mul_code(self.code, self.ctx.inv_code(c)))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.mul_code(c, self.ctx.inv_code(self.code)))
 
     def __pow__(self, e: int):
         # operator.index, not int(): a float exponent is a TypeError, not truncated.
@@ -471,11 +449,15 @@ def frobenius(a: FieldElem, q0: int | None = None) -> FieldElem:
     With q0 omitted it is inferred from the field.  Applying it twice gives
     the identity, and it fixes exactly the subfield GF(q0).
     """
-    ctx = a.ctx
+    _check_subfield(a.ctx, q0)
+    return FieldElem(a.ctx, a.ctx.frobenius_code(a.code))
+
+
+def _check_subfield(ctx: FieldCtx, q0: int | None) -> None:
+    """Refuse a field that is not a quadratic extension, or, with q0 given, not one of GF(q0)."""
     want = ctx.subfield_order()
     if q0 is not None and q0 != want:
         raise ValueError(f"GF({ctx.q}) is not a quadratic extension of GF({q0})")
-    return FieldElem(ctx, ctx.frobenius_code(a.code))
 
 
 def poly_string(coeffs) -> str:

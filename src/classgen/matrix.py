@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 
-from classgen.gf import FieldCtx, FieldElem
+from classgen.gf import FieldCtx, FieldElem, _check_subfield
 
 
 def _identity_codes(n: int) -> list[list[int]]:
@@ -134,9 +134,7 @@ class Mat:
     def conj_transpose(self, q0: int | None = None) -> "Mat":
         """Transpose with every entry conjugated by x -> x**q0 (quadratic extensions)."""
         ctx = self.ctx
-        want = ctx.subfield_order()
-        if q0 is not None and q0 != want:
-            raise ValueError(f"GF({ctx.q}) is not a quadratic extension of GF({q0})")
+        _check_subfield(ctx, q0)
         return Mat(ctx, [[ctx.frobenius_code(c) for c in col] for col in zip(*self._rows)])
 
     def det(self) -> FieldElem:

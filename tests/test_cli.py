@@ -1,4 +1,5 @@
 import decimal
+import io
 import json
 import os
 import random
@@ -578,6 +579,55 @@ def test_exit_5_for_internal_errors(capsys, monkeypatch):
     assert code == 5
     assert err == "classgen: internal error: RuntimeError: boom\n"
     assert out == ""
+
+
+def test_exit_130_for_an_interrupt(capsys, monkeypatch):
+    def interrupted(spec, cap):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(enumeration, "certify", interrupted)
+    code, out, err = run_main(capsys, ["certify", "--family", "gl", "--degree", "3", "--q", "7"])
+    assert code == 130
+    assert err == "classgen: interrupted\n"
+    assert out == ""
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_exit_141_quietly_when_stdout_is_closed(capsys, monkeypatch, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["gens", "--family", "sl", "--degree", "2", "--q", "3"]) == 141
+        assert capsys.readouterr().err == ""
+        # stdout's descriptor now points at devnull, so the flush at exit cannot fail
+        os.write(fd, b"lost")
+        assert (tmp_path / "stdout").read_bytes() == b""
+    finally:
+        os.close(fd)
+
+
+def test_exit_141_when_the_reader_closes_the_pipe():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "classgen", "gens", "--family", "gl", "--degree", "300", "--q", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=REPO_ENV)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # the gens output is far larger than a pipe buffer
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_long_family_names_accepted(capsys):

@@ -26,6 +26,7 @@ from classgen import (
     theoretical_order,
 )
 from classgen.enumeration import _merge, _product, _python_row_table, _row_table
+from classgen.spec import field_order
 from oracles import brute_mat_order, set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
 
@@ -586,6 +587,33 @@ def test_certify_picks_the_kernel_by_the_group_order(monkeypatch, spec, kernel):
     assert calls == [kernel]
     assert cert.closure == want
     assert cert.verdict is Verdict.PASS
+
+
+def test_every_group_the_python_search_takes_has_at_most_4096_row_codes():
+    # The README's claim on the Python tables.  Covered degrees start at 2,
+    # and every covered |G| >= q**(n*n // 2): each factor q**i -/+ 1 is at
+    # least q**(i - 1), so |SL(n,q)|, |SU(n,q)| >= q**(n(n-1)) and
+    # |Sp(2m,q)| >= q**(2m*m), and GL, GU contain SL, SU.  So the scan over
+    # q**(n*n // 2) <= PYTHON_BFS_MAX_ORDER reaches every group at or below it.
+    bound = enumeration.PYTHON_BFS_MAX_ORDER
+    row_codes = {}
+    n = 2
+    while 2 ** (n * n // 2) <= bound:
+        q = 2
+        while q ** (n * n // 2) <= bound:
+            for family in Family:
+                spec = GroupSpec(family, n, q)
+                try:
+                    order = theoretical_order(spec)
+                except UnsupportedParametersError:
+                    continue
+                assert order >= q ** (n * n // 2), spec
+                if order <= bound:
+                    row_codes[spec] = field_order(spec) ** n
+            q += 1
+        n += 1
+    assert max(row_codes.values()) == 4096
+    assert [s for s, r in row_codes.items() if r == 4096] == [GroupSpec(Family.SU, 3, 4)]
 
 
 BAD_CAPS = [0, -1, float("inf"), float("nan"), 2.0]

@@ -14,7 +14,7 @@ from classgen import (
     frobenius,
     poly_string,
 )
-from classgen.gf import _is_irreducible, _is_prime, _poly_mulmod, _poly_power
+from classgen.gf import FieldElem, _is_irreducible, _is_prime, _poly_mulmod, _poly_power
 from oracles import brute_order, reference_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
@@ -264,6 +264,60 @@ def test_mixed_field_arithmetic_raises():
         a * b
 
 
+GF9 = field_create(3, 2)
+
+# Each binary operator and the code operation it must apply to (left, right).
+_CODE_OPS = {
+    operator.add: lambda ctx, a, b: ctx.add_code(a, b),
+    operator.sub: lambda ctx, a, b: ctx.sub_code(a, b),
+    operator.mul: lambda ctx, a, b: ctx.mul_code(a, b),
+    operator.truediv: lambda ctx, a, b: ctx.mul_code(a, ctx.inv_code(b)),
+}
+
+
+@pytest.mark.parametrize("x", [
+    GF9.from_code(7), GF9.zero, -7, 11, 3, 0, np.int64(4), np.uint8(200), True, False,
+    field_create(2, 2).xi, GF9.xi.coeffs, 2.5, np.float64(2), "t", None,
+], ids=repr)
+@pytest.mark.parametrize("op", _CODE_OPS, ids=lambda op: op.__name__)
+def test_binary_operator_table(op, x):
+    # Every operator, in both operand orders, against one operand of each
+    # kind: a field element, an int of any sign or size, a numpy int or bool
+    # (all reduced mod p), an element of another field, and a non-integer.
+    a = GF9.from_code(5)
+    for left, right in ((a, x), (x, a)):
+        if isinstance(x, FieldElem) and x.ctx != GF9:
+            with pytest.raises(ValueError, match="mixed fields"):
+                op(left, right)
+        elif not isinstance(x, FieldElem) and not isinstance(x, (int, np.integer)):
+            with pytest.raises(TypeError):
+                op(left, right)
+        else:
+            codes = [y.code if isinstance(y, FieldElem) else int(y) % 3 for y in (left, right)]
+            if op is operator.truediv and codes[1] == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            out = op(left, right)
+            assert type(out) is FieldElem and out.ctx is GF9
+            assert out.code == _CODE_OPS[op](GF9, *codes)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_add_neg_sub_codes_are_coefficientwise_mod_p(p, k):
+    ctx = field_create(p, k)
+
+    def code(digits):
+        return sum(d % p * p**i for i, d in enumerate(digits))
+
+    digits = [[c // p**i % p for i in range(k)] for c in range(ctx.q)]
+    for a, da in enumerate(digits):
+        assert ctx.neg_code(a) == code([-x for x in da])
+        for b, db in enumerate(digits):
+            assert ctx.add_code(a, b) == code([x + y for x, y in zip(da, db)])
+            assert ctx.sub_code(a, b) == code([x - y for x, y in zip(da, db)])
+
+
 def test_elem_coercion_paths():
     ctx = field_create(3, 2)
     assert ctx.elem((1, 2)).code == 7
@@ -318,7 +372,7 @@ def test_inverses_exhaustive(p, k):
 
 @pytest.mark.parametrize("p", [p for p in range(2, 200) if _is_prime(p)])
 def test_prime_field_arithmetic_matches_the_polynomial_path(p):
-    # GF(p) does add, neg, mul and inv as integers mod p; the polynomial
+    # GF(p) does add, neg, sub, mul and inv as integers mod p; the polynomial
     # path works on coefficient lists, of length 1 here.  Every pair for
     # p < 50, a seeded sample of pairs above, every element for neg and inv.
     ctx = field_create(p, 1)
@@ -329,6 +383,7 @@ def test_prime_field_arithmetic_matches_the_polynomial_path(p):
                                              for _ in range(1000)])
     for a, b in pairs:
         assert ctx.add_code(a, b) == ctx.coeffs_to_code([a + b])
+        assert ctx.sub_code(a, b) == ctx.coeffs_to_code([a - b])
         assert ctx.mul_code(a, b) == _poly_mulmod([a], [b], mod_low, p, 1)[0]
     for a in range(p):
         assert ctx.neg_code(a) == ctx.coeffs_to_code([-a])
