@@ -8,16 +8,18 @@ generator g gets a table T_g of length q**n mapping v to v*g.  Both
 kernels build T_g from _action(g), the GF(p)-matrix of v -> v*g, worked
 out once with the field's scalar product.
 
-In closure() a matrix is one uint64 key, row i in bits [i*b, (i+1)*b) with
-b = (q**n - 1).bit_length().  Keys wider than 64 bits, like tables past
-q**n = 2**20 (ROW_CODE_LIMIT), are refused before any work.  The frontier
-and the sorted visited set are arrays of keys.  A frontier's product by g
-ORs T_g[(key >> i*b) & mask] << i*b over rows i; it is sorted by value,
-looked up in visited by one binary search, and its new keys are merged in
-by one insert and form part of the next frontier.  The visited set costs
-8 bytes per element, plus one copy while merging.  The search stops when
-the frontier empties (exact count) or, checked after each generator, the
-visited set grows past the cap (truncated).
+In closure() a matrix is one key, row i in bits [i*b, (i+1)*b) with
+b = (q**n - 1).bit_length(): uint32 when n*b <= 32, else uint64.  Keys
+wider than 64 bits, like tables past q**n = 2**20 (ROW_CODE_LIMIT), are
+refused before any work.  The frontier is an array of keys; the visited
+set is a list of sorted key arrays (chunks) of about _CHUNK keys.  A
+frontier's product by g ORs T_g[(key >> i*b) & mask] << i*b over rows i; it
+is sorted by value, routed to the chunks, looked up by binary search, and
+its new keys are inserted and form part of the next frontier.  So the
+visited set costs 4 or 8 bytes per element, plus a copy of one chunk while
+merging.  The search stops when the frontier empties (exact count) or,
+checked after each generator, the visited set grows past the cap
+(truncated).
 
 A finished result depends only on the set of generators (round r finds the
 elements of word length r); a truncated one also on their order.  A
@@ -48,6 +50,9 @@ from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, check_closure_limit,
 # the numpy closure 0.11 s more for its import plus 0.44 us per element, so
 # the two break even near 1.2e5 elements.
 PYTHON_BFS_MAX_ORDER = 120_000
+
+# Keys per chunk of the visited set, 1 MB of uint64 (2**16 to 2**18 measured alike).
+_CHUNK = 1 << 17
 
 
 class Verdict(enum.Enum):
@@ -100,7 +105,8 @@ def _action(g: Mat) -> list[list[int]]:
 
 
 def _row_table(g: Mat):
-    """T with T[v] = v*g for every row code v in [0, q**n), as uint64 keys.
+    """T with T[v] = v*g for every row code v in [0, q**n), in the key dtype:
+    uint32 when n row codes fit in 32 bits, else uint64.
 
     Each output digit column of _action(g) doubles over the input digits:
     the codes with top digit c at m are c * p**m plus the codes below p**m.
@@ -110,13 +116,14 @@ def _row_table(g: Mat):
     ctx, n = g.ctx, g.n
     p, nk = ctx.p, n * ctx.k
     action = _action(g)
-    table = np.zeros(ctx.q**n, dtype=np.uint64)
+    narrow = n * (ctx.q**n - 1).bit_length() <= 32
+    table = np.zeros(ctx.q**n, dtype=np.uint32 if narrow else np.uint64)
     col_dtype = np.min_scalar_type(nk * (p - 1))  # sums of nk terms < p, reduced once
     for out in range(nk):
         col = np.zeros(1, dtype=col_dtype)
         for m in range(nk):
             col = ((np.arange(p) * action[m][out] % p).astype(col_dtype)[:, None] + col).ravel()
-        table += (col % p).astype(np.uint64) * np.uint64(p**out)
+        table += (col % p).astype(table.dtype) * table.dtype.type(p**out)
     return table
 
 
@@ -142,30 +149,45 @@ def _python_row_table(g: Mat) -> list[int]:
 
 def _product(keys, table, n: int, bits: int):
     """The keys of M*g for the keys of M, table = _row_table(g): row i of
-    M*g is table[row i of M], through two reused temporaries."""
+    M*g is table[row i of M], through two reused temporaries.  keys and
+    table share one dtype."""
     import numpy as np
 
-    mask = np.uint64((1 << bits) - 1)
+    word = keys.dtype.type
+    mask = word((1 << bits) - 1)
+    index = np.int32 if word is np.uint32 else np.int64  # row codes < 2**20
     row, image, out = np.empty_like(keys), np.empty_like(keys), np.zeros_like(keys)
     for i in range(n):
-        shift = np.uint64(i * bits)
+        shift = word(i * bits)
         np.bitwise_and(np.right_shift(keys, shift, out=row), mask, out=row)
         # the codes are in range; mode="clip" lets take write into image unbuffered
-        np.take(table, row.view(np.int64), out=image, mode="clip")
+        np.take(table, row.view(index), out=image, mode="clip")
         np.bitwise_or(out, np.left_shift(image, shift, out=image), out=out)
     return out
 
 
-def _merge(visited, keys):
-    """Merge distinct keys into the sorted visited array; return it and the
-    keys that were new, in increasing order.  keys is sorted in place."""
+def _merge(chunks, keys):
+    """Merge distinct keys into chunks, the visited set's sorted key arrays
+    in increasing order, in place, splitting a chunk past 2 * _CHUNK keys;
+    return the keys that were new, in increasing order.  keys is sorted in
+    place."""
     import numpy as np
 
     keys.sort()
-    pos = np.searchsorted(visited, keys)
-    new = np.take(visited, pos, mode="clip") != keys
-    fresh = keys[new]
-    return np.insert(visited, pos[new], fresh), fresh
+    # the first keys in the key dtype: a uint64 >= 2**63 as a Python int makes float64
+    bounds = np.array([chunk[0] for chunk in chunks[1:]], dtype=keys.dtype)
+    parts = np.split(keys, np.searchsorted(keys, bounds)) if len(bounds) else [keys]
+    fresh = []
+    for j in reversed(range(len(parts))):  # a split shifts only the later chunks
+        chunk, part = chunks[j], parts[j]
+        pos = np.searchsorted(chunk, part)
+        new = np.take(chunk, pos, mode="clip") != part
+        fresh.append(part[new])
+        if len(fresh[-1]):
+            chunks[j] = chunk = np.insert(chunk, pos[new], fresh[-1])
+        if len(chunk) > 2 * _CHUNK:  # copies: a view would keep all of chunk alive
+            chunks[j:j + 1] = [chunk[i:i + _CHUNK].copy() for i in range(0, len(chunk), _CHUNK)]
+    return fresh[0] if len(fresh) == 1 else np.concatenate(fresh[::-1])
 
 
 def _python_closure(gens: list[Mat], cap: int):
@@ -209,21 +231,22 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     bits = check_key_width(ctx.q, n)
     tables = [_row_table(g) for g in gens]
     identity = sum(ctx.q**i << (i * bits) for i in range(n))
-    frontier = visited = np.array([identity], dtype=np.uint64)
+    frontier = np.array([identity], dtype=tables[0].dtype)
+    chunks, size = [frontier], 1
 
     rounds, truncated = 0, False
     while len(frontier) and not truncated:
         fresh = []
         for table in tables:
-            visited, new = _merge(visited, _product(frontier, table, n, bits))
-            fresh.append(new)
-            if len(visited) > cap:
+            fresh.append(_merge(chunks, _product(frontier, table, n, bits)))
+            size += len(fresh[-1])
+            if size > cap:
                 truncated = True
                 break
         frontier = np.concatenate(fresh)
         if len(frontier):
             rounds += 1
-    return ClosureResult(len(visited), truncated, rounds)
+    return ClosureResult(size, truncated, rounds)
 
 
 def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:

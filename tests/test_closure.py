@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,44 +463,81 @@ def _key(row_codes, bits):
     return sum(code << (i * bits) for i, code in enumerate(row_codes))
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 1, 8), (97, 1, 3), (3, 2, 3), (2, 2, 4), (5, 1, 2)])
+@pytest.mark.parametrize("p,k,n", [
+    (2, 1, 8), (97, 1, 3), (3, 2, 3), (2, 2, 4), (5, 1, 2), (5, 1, 3)])
 def test_product_of_keys_matches_mat_mul(p, k, n):
-    # (2, 1, 8) fills all 64 bits; (97, 1, 3) has 20-bit rows
+    # (2, 1, 8) fills all 64 bits; (97, 1, 3) has 20-bit rows; (2, 2, 4) fills
+    # all 32 bits; (5, 1, 3) has 21-bit keys
     ctx = field_create(p, k)
     bits = (ctx.q**n - 1).bit_length()
+    dtype = np.uint32 if n * bits <= 32 else np.uint64
     rng = random.Random(41)
     mats = [Mat(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)])
             for _ in range(200)]
     mats.append(Mat(ctx, [[ctx.q - 1] * n] * n))  # the largest code in every row
     gen = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)])
-    keys = np.array([_key(_row_codes(m), bits) for m in mats], dtype=np.uint64)
+    keys = np.array([_key(_row_codes(m), bits) for m in mats], dtype=dtype)
     before = keys.copy()
-    got = _product(keys, _row_table(gen), n, bits)
-    assert got.dtype == np.uint64
+    table = _row_table(gen)
+    assert table.dtype == dtype
+    got = _product(keys, table, n, bits)
+    assert got.dtype == dtype
     assert got.tolist() == [_key(_row_codes(m * gen), bits) for m in mats]
     assert (keys == before).all()
 
 
-def test_merge_returns_the_merged_array_and_the_new_keys_in_order():
+def _chunked(values, size):
+    """values as sorted uint64 chunks of size keys."""
+    values = sorted(values)
+    return [np.array(values[i:i + size], dtype=np.uint64) for i in range(0, len(values), size)]
+
+
+def _assert_chunks(chunks, values, limit):
+    """chunks hold exactly values, in increasing order, none empty or past limit."""
+    assert all(0 < len(c) <= limit and c.dtype == np.uint64 for c in chunks)
+    assert np.concatenate(chunks).tolist() == sorted(values)
+
+
+def test_merge_routes_keys_to_chunks_and_returns_the_new_keys_in_order(monkeypatch):
     # distinct keys in random order, a third of them already visited; half
-    # of them have the top bit set, so the order must be unsigned
+    # of them have the top bit set, so the order and the chunk bounds must be
+    # unsigned; keys 0 and 1 lie below the first chunk's first key
+    monkeypatch.setattr(enumeration, "_CHUNK", 1000)
     rng = np.random.default_rng(5)
-    values = rng.permutation(30000)[:20000].tolist()
+    values = rng.permutation(range(2, 30000))[:20000].tolist()
     top = 1 << 63
-    keys = [v + top * (v % 2) for v in values]
-    seen = {v + top * (v % 2) for v in range(0, 30000, 3)}
-    merged, new = _merge(np.array(sorted(seen), dtype=np.uint64), np.array(keys, dtype=np.uint64))
-    assert merged.dtype == new.dtype == np.uint64
+    keys = [v + top * (v % 2) for v in values] + [0, 1]
+    seen = {v + top * (v % 2) for v in range(3, 30000, 3)}
+    chunks = _chunked(seen, 1000)
+    new = _merge(chunks, np.array(keys, dtype=np.uint64))
+    assert new.dtype == np.uint64
     assert new.tolist() == sorted(set(keys) - seen)
-    assert merged.tolist() == sorted(seen | set(keys))
+    _assert_chunks(chunks, seen | set(keys), 2000)
 
 
-def test_merge_inserts_keys_sharing_a_position():
-    visited = np.array([10, 20], dtype=np.uint64)
+@pytest.mark.parametrize("visited", [[10, 20], [10, 20, 30, 2**63]],
+                         ids=["one-chunk", "two-chunks"])
+def test_merge_inserts_keys_sharing_a_position(monkeypatch, visited):
+    monkeypatch.setattr(enumeration, "_CHUNK", 2)
     batch = [15, 25, 20, 5, 11, 3, 2**64 - 1, 19, 10]
-    merged, new = _merge(visited, np.array(batch, dtype=np.uint64))
-    assert new.tolist() == [3, 5, 11, 15, 19, 25, 2**64 - 1]
-    assert merged.tolist() == [3, 5, 10, 11, 15, 19, 20, 25, 2**64 - 1]
+    chunks = _chunked(visited, 2)
+    new = _merge(chunks, np.array(batch, dtype=np.uint64))
+    assert new.tolist() == sorted(set(batch) - set(visited))
+    _assert_chunks(chunks, set(visited) | set(batch), 4)
+
+
+def test_merge_splits_an_overflowing_chunk_into_copies(monkeypatch):
+    monkeypatch.setattr(enumeration, "_CHUNK", 4)
+    chunks = [np.array([100], dtype=np.uint64), np.array([200, 300], dtype=np.uint64)]
+    batch = np.array(range(120, 140), dtype=np.uint64)
+    assert _merge(chunks, batch).tolist() == list(range(120, 140))
+    assert [len(c) for c in chunks] == [4, 4, 4, 4, 4, 1, 2]
+    assert all(c.base is None for c in chunks)  # a view would keep its parent alive
+    _assert_chunks(chunks, {100, 200, 300, *range(120, 140)}, 8)
+    # a batch that meets no new key leaves every chunk as it was
+    before = list(chunks)
+    assert _merge(chunks, np.array([300, 100, 125], dtype=np.uint64)).tolist() == []
+    assert all(c is b for c, b in zip(chunks, before)) and len(chunks) == len(before)
 
 
 @pytest.mark.parametrize("family,degree,q,size", [
@@ -511,14 +549,97 @@ def test_merge_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, 
     # _merge relies on it: one generator's products of a distinct frontier
     batches = []
 
-    def spy(visited, keys, _real=_merge):
+    def spy(chunks, keys, _real=_merge):
         batches.append(len(keys))
         assert len(np.unique(keys)) == len(keys)
-        return _real(visited, keys)
+        return _real(chunks, keys)
 
     monkeypatch.setattr(enumeration, "_merge", spy)
     assert closure(_pair(family, degree, q), cap=200_000).size == size
     assert batches
+
+
+def _generator_lists(family, degree, q):
+    a, b = _pair(family, degree, q)
+    return [[a, b], [b, a], [a], [a, b, a * b]]
+
+
+@pytest.mark.parametrize("chunk,family,degree,q", [
+    (chunk, *spec) for chunk in (1, 2, 64)
+    for spec in [(Family.GL, 2, 3), (Family.SU, 3, 2), (Family.SP, 4, 2), (Family.SP, 6, 2)]])
+def test_closure_in_small_chunks_matches_the_python_bfs(monkeypatch, chunk, family, degree, q):
+    # Sp(6,2) has 36-bit keys; at the default cap it is only run past cap 1000
+    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    caps = (1, 10, 1000) if family is Family.SP and degree == 6 else (1, 10, 1000, DEFAULT_CAP)
+    for gens in _generator_lists(family, degree, q):
+        for cap in caps:
+            assert closure(gens, cap) == enumeration._python_closure(gens, cap)[0]
+
+
+def test_closure_in_small_chunks_keeps_64_bit_bounds_unsigned(monkeypatch):
+    # Sp(8,2)'s keys have row 7 in the top byte, so chunk bounds reach 2**63
+    monkeypatch.setattr(enumeration, "_CHUNK", 1024)
+    bounds = []
+
+    def spy(chunks, keys, _real=_merge):
+        bounds.extend(int(c[0]) for c in chunks)
+        return _real(chunks, keys)
+
+    monkeypatch.setattr(enumeration, "_merge", spy)
+    result = closure(_pair(Family.SP, 8, 2), cap=200_000)
+    assert (result.size, result.truncated, result.frontier_rounds) == (204_440, True, 25)
+    assert max(bounds) >= 2**63
+
+
+def _key_dtypes(monkeypatch, gens, cap):
+    """closure(gens, cap) and the dtypes of the keys it merged."""
+    dtypes = set()
+
+    def spy(chunks, keys, _real=_merge):
+        dtypes.add(keys.dtype)
+        dtypes.update(c.dtype for c in chunks)
+        return _real(chunks, keys)
+
+    monkeypatch.setattr(enumeration, "_merge", spy)
+    return closure(gens, cap), dtypes
+
+
+def test_keys_of_32_bits_are_uint32(monkeypatch):
+    # SU(4,2): four 8-bit rows over GF(4)
+    gens = _pair(Family.SU, 4, 2)
+    assert {_row_table(g).dtype for g in gens} == {np.dtype(np.uint32)}
+    result, dtypes = _key_dtypes(monkeypatch, gens, DEFAULT_CAP)
+    assert result == enumeration._python_closure(gens, DEFAULT_CAP)[0]
+    assert (result.size, result.truncated) == (25920, False)
+    assert dtypes == {np.dtype(np.uint32)}
+
+
+@pytest.mark.parametrize("cap", [1000, 50_000])
+def test_keys_of_33_bits_are_uint64(monkeypatch, cap):
+    # GL(3,11): three 11-bit rows
+    gens = _pair(Family.GL, 3, 11)
+    assert {_row_table(g).dtype for g in gens} == {np.dtype(np.uint64)}
+    result, dtypes = _key_dtypes(monkeypatch, gens, cap)
+    assert result == enumeration._python_closure(gens, cap)[0]
+    assert dtypes == {np.dtype(np.uint64)}
+
+
+@pytest.mark.parametrize("family,degree,q,limit", [
+    (Family.SP, 6, 2, 16),   # 36-bit keys: 8 bytes each
+    (Family.GL, 3, 5, 12),   # 21-bit keys: 4 bytes each
+])
+def test_closure_working_set_per_element(family, degree, q, limit):
+    # merging into one array of the whole visited set held two copies of it
+    # while inserting: 20.4 and 23.9 bytes per element at the peak
+    gens = _pair(family, degree, q)
+    tracemalloc.start()
+    try:
+        size = closure(gens).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == theoretical_order(GroupSpec(family, degree, q))
+    assert peak <= limit * size
 
 
 # ---------------------------------------------------------------------------
