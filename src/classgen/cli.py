@@ -49,9 +49,9 @@ def _json_lines(spec, pair, form, emit_form: bool):
 
     def rows(m, indent: str):
         yield f'{indent}"rows": ['
-        for i, row in enumerate(m.rows(), 1):
-            entries = ", ".join(str(list(e.coeffs)) for e in row)
-            yield f"{indent}  [{entries}]" + ("," if i < m.n else "")
+        for i in range(m.n):
+            entries = ", ".join(str(list(m.entry(i, j).coeffs)) for j in range(m.n))
+            yield f"{indent}  [{entries}]" + ("," if i < m.n - 1 else "")
         yield f"{indent}]"
 
     yield "{"
@@ -106,9 +106,10 @@ def _gap_lines(spec, pair, form, emit_form: bool):
 
     def matrix(name: str, m):
         yield f"{name} := ["
-        for i, row in enumerate(m.rows(), 1):
+        for i in range(m.n):
+            row = (m.entry(i, j) for j in range(m.n))
             entries = ", ".join(f"xi^{ctx.dlog_code(e.code)}" if e else "0*xi^0" for e in row)
-            yield f"  [ {entries} ]" + ("," if i < m.n else "")
+            yield f"  [ {entries} ]" + ("," if i < m.n - 1 else "")
         yield "];"
 
     yield (f"# family {spec.family.value}, degree {spec.degree}, q {spec.q}, "

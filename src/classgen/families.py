@@ -9,7 +9,7 @@ Covered cases and their pairs:
 
   GL(n, q), q > 2:          h_1(xi),                    x_12(1) w
   GL(n, 2):                 the SL(n, 2) pair (the groups coincide)
-  SL(n, q), q > 3:          h_1(xi) h_2(xi^-1),         x_12(1) w
+  SL(n, q), q > 3:          the GL pair, a times h_2(xi^-1)
   SL(n, q), q in {2, 3}:    x_12(1),                    w
   Sp(2, q):                 the SL(2, q) pair (the groups coincide)
   Sp(2n, q), q odd, n > 1:  hat_h_1(xi),                hat_x_12(1) hat_w
@@ -19,9 +19,12 @@ Covered cases and their pairs:
   Sp(4, 2):                 an explicit pair
   GU(2n, q), n > 1:         tilde_h_1(xi),              tilde_x_12(1) tilde_w
   GU(2n+1, q), n >= 1:      tilde_h_n(xi),              Q(1, beta) w'
-  SU(2n, q), n > 1:         tilde_h_1(xi) tilde_h_2(xi^-1),      tilde_x_12(1) tilde_w
-  SU(2n+1, q), not (3, 2):  tilde_h_n(xi) tilde_h_{n+1}(xi^-1),  Q(1, beta) w'
+  SU(2n, q), n > 1:         the GU(2n, q) pair, a times tilde_h_2(xi^-1)
+  SU(2n+1, q), not (3, 2):  the GU(2n+1, q) pair, a times tilde_h_{n+1}(xi^-1)
   SU(3, 2):                 an explicit pair over GF(4)
+
+The SL and SU pairs are derived: b is the GL or GU pair's b, and a gains the
+diagonal generator at the next index with xi^-1, bringing det a to 1.
 
 Degree 1 anywhere, degree 2 for GU/SU, odd degrees for Sp and q not a prime
 power are unsupported.
@@ -84,75 +87,53 @@ def field_for(spec: GroupSpec) -> FieldCtx:
     return field_create(p, k)
 
 
-def _sl_pair(ctx: FieldCtx, deg: int, q: int) -> tuple[Mat, Mat]:
-    if q <= 3:
-        return elem_x(ctx, 1, 2, 1, deg), cycle_w(ctx, deg)
-    a = elem_h(ctx, 1, ctx.xi, deg) * elem_h(ctx, 2, ctx.xi ** -1, deg)
-    b = elem_x(ctx, 1, 2, 1, deg) * cycle_w(ctx, deg)
-    return a, b
-
-
 def generator_pair(spec: GroupSpec) -> GeneratorPair:
     """Build the two generators of the covered case for spec."""
     label = case_label(spec)
     ctx = field_for(spec)
     deg, q = spec.degree, spec.q
     xi = ctx.xi
+    n = deg // 2
+    special = spec.family in (Family.SL, Family.SP, Family.SU)
 
-    if label == "GL, q > 2":
-        a = elem_h(ctx, 1, xi, deg)
-        b = elem_x(ctx, 1, 2, 1, deg) * cycle_w(ctx, deg)
-    elif label in ("GL(n,2) = SL(n,2)", "SL, q in {2,3}", "SL, q > 3", "Sp(2,q) = SL(2,q)"):
-        a, b = _sl_pair(ctx, deg, q)
+    if label in ("GL, q > 2", "GL(n,2) = SL(n,2)", "SL, q > 3", "SL, q in {2,3}",
+                 "Sp(2,q) = SL(2,q)"):
+        if q <= (3 if special else 2):
+            a, b = elem_x(ctx, 1, 2, 1, deg), cycle_w(ctx, deg)
+        else:
+            a = elem_h(ctx, 1, xi, deg)
+            b = elem_x(ctx, 1, 2, 1, deg) * cycle_w(ctx, deg)
+            if special:
+                a = a * elem_h(ctx, 2, xi ** -1, deg)
     elif label == "Sp, q odd, n > 1":
-        n = deg // 2
         a = hat_h(ctx, 1, xi, n)
         b = hat_x(ctx, 1, 2, 1, n) * hat_w(ctx, n)
     elif label == "Sp, q even, q != 2, n > 1":
-        n = deg // 2
         a = hat_h(ctx, 1, xi, n) * hat_h(ctx, n, xi, n)
         b = hat_x(ctx, 1, n, 1, n) * hat_z(ctx, 1, 1, n) * hat_w(ctx, n)
     elif label == "Sp(2n,2), n > 2":
-        n = deg // 2
         a = hat_x(ctx, 1, n, 1, n) * hat_z(ctx, 1, 1, n)
         b = hat_w(ctx, n)
     elif label == "Sp(4,2)":
         a = Mat.from_rows(ctx, [[1, 0, 1, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1, 1]])
         b = Mat.from_rows(ctx, [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
-    elif label == "U(2n,q), n > 1":
-        a = tilde_h(ctx, 1, xi, deg, DualKind.U_EVEN)
-        b = _unitary_even_b(ctx, deg, q)
-    elif label == "SU(2n,q), n > 1":
-        a = (tilde_h(ctx, 1, xi, deg, DualKind.U_EVEN)
-             * tilde_h(ctx, 2, xi ** -1, deg, DualKind.U_EVEN))
-        b = _unitary_even_b(ctx, deg, q)
-    elif label == "U(2n+1,q)":
-        n = (deg - 1) // 2
-        a = tilde_h(ctx, n, xi, deg, DualKind.U_ODD)
-        b = _unitary_odd_b(ctx, deg, q)
-    elif label == "SU(2n+1,q), n != 1 or q != 2":
-        n = (deg - 1) // 2
-        a = (tilde_h(ctx, n, xi, deg, DualKind.U_ODD)
-             * tilde_h(ctx, n + 1, xi ** -1, deg, DualKind.U_ODD))
-        b = _unitary_odd_b(ctx, deg, q)
+    elif label in ("U(2n,q), n > 1", "SU(2n,q), n > 1", "U(2n+1,q)",
+                   "SU(2n+1,q), n != 1 or q != 2"):
+        if deg % 2:
+            i, kind = n, DualKind.U_ODD
+            b = q_block(ctx, 1, special_scalar_beta(ctx, q), deg) * w_prime(ctx, n)
+        else:
+            i, kind = 1, DualKind.U_EVEN
+            b = tilde_x(ctx, 1, 2, 1, deg, kind) * tilde_w(ctx, n, special_scalar_eta(ctx, q))
+        a = tilde_h(ctx, i, xi, deg, kind)
+        if special:
+            a = a * tilde_h(ctx, i + 1, xi ** -1, deg, kind)
     elif label == "SU(3,2)":
         a = Mat.from_rows(ctx, [[1, xi, xi], [0, 1, xi ** 2], [0, 0, 1]])
         b = Mat.from_rows(ctx, [[xi, 1, 1], [1, 1, 0], [1, 0, 0]])
     else:
         raise AssertionError(f"unhandled case label {label!r}")
     return GeneratorPair(a, b, spec, ctx, label)
-
-
-def _unitary_even_b(ctx: FieldCtx, deg: int, q: int) -> Mat:
-    n = deg // 2
-    eta = special_scalar_eta(ctx, q)
-    return tilde_x(ctx, 1, 2, 1, deg, DualKind.U_EVEN) * tilde_w(ctx, n, eta)
-
-
-def _unitary_odd_b(ctx: FieldCtx, deg: int, q: int) -> Mat:
-    n = (deg - 1) // 2
-    beta = special_scalar_beta(ctx, q)
-    return q_block(ctx, 1, beta, deg) * w_prime(ctx, n)
 
 
 _FORM_KIND = {Family.SP: FormKind.SYMPLECTIC, Family.GU: FormKind.UNITARY,

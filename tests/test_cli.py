@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,24 @@ def test_gens_gap_on_fields_past_2048_elements(capsys, family, degree, q):
                     assert entry == "0*xi^0"
                 else:
                     assert ctx.pow_code(ctx.xi_code, int(entry.removeprefix("xi^"))) == e.code
+
+
+@pytest.mark.parametrize("fmt", ["json", "gap"])
+@pytest.mark.parametrize("family,q", [(Family.GL, 3), (Family.GU, 3)])
+def test_gens_writer_holds_one_row_at_a_time(fmt, family, q):
+    # A whole matrix held as FieldElems costs over 50 bytes per entry; a
+    # writer that reads one row at a time stays far below 4.
+    spec = GroupSpec(family, 128, q)
+    pair = generator_pair(spec)
+    form = families.form_for(spec, pair.ctx)
+    tracemalloc.start()
+    try:
+        for _ in cli._WRITERS[fmt](spec, pair, form, True):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * spec.degree**2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from classgen import (
     Certificate,
     ClosureResult,
+    DualKind,
     Family,
     FormKind,
     GeneratorPair,
@@ -19,6 +20,7 @@ from classgen import (
     is_member,
     parse_family,
     theoretical_order,
+    tilde_h,
 )
 from classgen.spec import check_gens_limit, check_order_limit
 
@@ -337,10 +339,26 @@ def test_sp_degree_two_delegates_to_sl(q):
     assert sp.a == sl.a and sp.b == sl.b
 
 
-@pytest.mark.parametrize("degree,q", [(3, 5), (4, 7), (2, 9)])
-def test_sl_and_gl_share_the_cycle_generator(degree, q):
-    assert generator_pair(GroupSpec(Family.SL, degree, q)).b \
-        == generator_pair(GroupSpec(Family.GL, degree, q)).b
+@pytest.mark.parametrize("family,general,degree,q", [
+    (Family.SL, Family.GL, 3, 5), (Family.SL, Family.GL, 4, 7), (Family.SL, Family.GL, 2, 9),
+    (Family.SP, Family.GL, 2, 7),
+    (Family.SU, Family.GU, 3, 3), (Family.SU, Family.GU, 4, 3), (Family.SU, Family.GU, 5, 4),
+    (Family.SU, Family.GU, 4, 2),
+])
+def test_sl_and_gl_share_the_cycle_generator(family, general, degree, q):
+    # The special pair is the general one with a times the diagonal generator
+    # at the next index, xi^-1 for xi.  SU(3,2) has an explicit pair instead.
+    special = generator_pair(GroupSpec(family, degree, q))
+    pair = generator_pair(GroupSpec(general, degree, q))
+    ctx, xi = pair.ctx, pair.ctx.xi
+    if general is Family.GL:
+        fix = elem_h(ctx, 2, xi ** -1, degree)
+    elif degree % 2:
+        fix = tilde_h(ctx, degree // 2 + 1, xi ** -1, degree, DualKind.U_ODD)
+    else:
+        fix = tilde_h(ctx, 2, xi ** -1, degree, DualKind.U_EVEN)
+    assert special.b == pair.b
+    assert special.a == pair.a * fix
 
 
 def test_generator_pair_is_deterministic():
