@@ -91,11 +91,11 @@ def _text_lines(spec, pair, form, emit_form: bool):
            f"modulus={list(ctx.modulus)}, xi={list(ctx.xi.coeffs)}")
     for title, m in ("generator a:", pair.a), ("generator b:", pair.b):
         yield title
-        yield from ("  " + line for line in str(m).splitlines())
+        yield from ("  " + line for line in m._text_rows())
     if emit_form:
         yield f"form: {'none' if form is None else form.kind.value}"
     if form is not None:
-        yield from ("  " + line for line in str(form.j).splitlines())
+        yield from ("  " + line for line in form.j._text_rows())
 
 
 def _gap_lines(spec, pair, form, emit_form: bool):

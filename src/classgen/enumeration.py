@@ -9,17 +9,18 @@ kernels build T_g from _action(g), the GF(p)-matrix of v -> v*g, worked
 out once with the field's scalar product.
 
 In closure() a matrix is one key, row i in bits [i*b, (i+1)*b) with
-b = (q**n - 1).bit_length(): uint32 when n*b <= 32, else uint64.  Keys
-wider than 64 bits, like tables past q**n = 2**20 (ROW_CODE_LIMIT), are
-refused before any work.  The frontier is an array of keys; the visited
-set is a list of sorted key arrays (chunks) of about _CHUNK keys.  A
-frontier's product by g ORs T_g[(key >> i*b) & mask] << i*b over rows i; it
-is sorted by value, routed to the chunks, looked up by binary search, and
-its new keys are inserted and form part of the next frontier.  So the
-visited set costs 4 or 8 bytes per element, plus a copy of one chunk while
-merging.  The search stops when the frontier empties (exact count) or,
-checked after each generator, the visited set grows past the cap
-(truncated).
+b = (q**n - 1).bit_length(): uint32 when n*b <= 32, else uint64.  The row
+tables are uint32 and closure() widens them to the key's word.  The
+closure limits live here: keys wider than 64 bits, like tables past
+q**n = 2**20 (_ROW_CODE_LIMIT), are refused before any work.  The frontier
+is an array of keys; the visited set is a list of sorted key arrays
+(chunks) of about _CHUNK keys.  A frontier's product by g ORs
+T_g[(key >> i*b) & mask] << i*b over rows i; it is sorted by value, routed
+to the chunks, looked up by binary search, and its new keys are inserted
+and form part of the next frontier.  So the visited set costs 4 or 8 bytes
+per element, plus a copy of one chunk while merging.  The search stops when
+the frontier empties (exact count) or, checked after each generator, the
+visited set grows past the cap (truncated).
 
 A finished result depends only on the set of generators (round r finds the
 elements of word length r); a truncated one also on their order.  A
@@ -42,8 +43,8 @@ import enum
 
 from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
-from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, check_closure_limit,
-                           check_key_width, check_row_code_limit, theoretical_order)
+from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, case_label, field_order,
+                           theoretical_order)
 
 # certify() enumerates a group of at most this order in pure Python.  In cold
 # certify runs on a 2-vCPU Xeon VM the Python BFS cost 1.3 us per element and
@@ -53,6 +54,25 @@ PYTHON_BFS_MAX_ORDER = 120_000
 
 # Keys per chunk of the visited set, 1 MB of uint64 (2**16 to 2**18 measured alike).
 _CHUNK = 1 << 17
+
+_ROW_CODE_LIMIT = 2**20
+
+
+def _check_row_code_limit(q: int, n: int) -> None:
+    """Refuse a closure over GF(q) at degree n: its row tables need q**n <= 2**20."""
+    # q >= 2, so any n > 20 exceeds the limit; the min keeps q**n small.
+    if q**min(n, 21) > _ROW_CODE_LIMIT:
+        raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
+                         f"GF({q}) at degree {n} exceeds it")
+
+
+def _check_key_width(q: int, n: int) -> int:
+    """The bits b of a row code over GF(q) (q**n within its limit); refuse n * b > 64."""
+    bits = (q**n - 1).bit_length()
+    if n * bits > 64:
+        raise ValueError(f"closure needs n * bit_length(q**n - 1) <= 64 (one-word key limit); "
+                         f"GF({q}) at degree {n} needs {n * bits} bits")
+    return bits
 
 
 class Verdict(enum.Enum):
@@ -85,7 +105,7 @@ def _prepare(gens: list[Mat], cap) -> tuple:
     for g in gens:
         if g.ctx != ctx or g.n != n:
             raise ValueError("generators must share one field and one degree")
-    check_row_code_limit(ctx.q, n)
+    _check_row_code_limit(ctx.q, n)
     for g in gens:
         if not g.det():
             raise ValueError("generators must be invertible")
@@ -105,8 +125,7 @@ def _action(g: Mat) -> list[list[int]]:
 
 
 def _row_table(g: Mat):
-    """T with T[v] = v*g for every row code v in [0, q**n), in the key dtype:
-    uint32 when n row codes fit in 32 bits, else uint64.
+    """T with T[v] = v*g for every row code v in [0, q**n), as uint32.
 
     Each output digit column of _action(g) doubles over the input digits:
     the codes with top digit c at m are c * p**m plus the codes below p**m.
@@ -116,14 +135,13 @@ def _row_table(g: Mat):
     ctx, n = g.ctx, g.n
     p, nk = ctx.p, n * ctx.k
     action = _action(g)
-    narrow = n * (ctx.q**n - 1).bit_length() <= 32
-    table = np.zeros(ctx.q**n, dtype=np.uint32 if narrow else np.uint64)
+    table = np.zeros(ctx.q**n, dtype=np.uint32)
     col_dtype = np.min_scalar_type(nk * (p - 1))  # sums of nk terms < p, reduced once
     for out in range(nk):
         col = np.zeros(1, dtype=col_dtype)
         for m in range(nk):
             col = ((np.arange(p) * action[m][out] % p).astype(col_dtype)[:, None] + col).ravel()
-        table += (col % p).astype(table.dtype) * table.dtype.type(p**out)
+        table += (col % p).astype(np.uint32) * np.uint32(p**out)
     return table
 
 
@@ -228,10 +246,11 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     import numpy as np
 
     ctx, n, cap = _prepare(gens, cap)
-    bits = check_key_width(ctx.q, n)
-    tables = [_row_table(g) for g in gens]
+    bits = _check_key_width(ctx.q, n)
+    word = np.uint32 if n * bits <= 32 else np.uint64
+    tables = [_row_table(g).astype(word, copy=False) for g in gens]
     identity = sum(ctx.q**i << (i * bits) for i in range(n))
-    frontier = np.array([identity], dtype=tables[0].dtype)
+    frontier = np.array([identity], dtype=word)
     chunks, size = [frontier], 1
 
     rounds, truncated = 0, False
@@ -277,7 +296,9 @@ def certify(spec: GroupSpec, cap: int = DEFAULT_CAP) -> Certificate:
     (ValueError) are refused before any generator is built.
     """
     cap = _check_cap(cap)
-    check_closure_limit(spec)
+    case_label(spec)
+    _check_row_code_limit(field_order(spec), spec.degree)
+    _check_key_width(field_order(spec), spec.degree)
     pair = generator_pair(spec)
     expected = theoretical_order(spec)
     if not (is_member(spec, pair.a) and is_member(spec, pair.b)):

@@ -280,7 +280,8 @@ class FieldCtx:
     def dlog_code(self, code: int) -> int:
         """Discrete log base xi, in [0, q - 2]; code must be nonzero.
 
-        Baby-step giant-step; the m = ceil(sqrt(q - 1)) baby steps are cached.
+        Baby-step giant-step; the m = ceil(sqrt(q - 1)) baby steps and the
+        giant step xi**-m are cached.
         """
         if code == 0:
             raise ZeroDivisionError("zero has no discrete logarithm")
@@ -290,10 +291,10 @@ class FieldCtx:
             for j in range(m):
                 baby[cur] = j
                 cur = self.mul_code(cur, self.xi_code)
-            self._baby_steps = baby
-        giant = self.pow_code(self.xi_code, -m)
+            self._baby_steps = baby, self.inv_code(cur)  # cur = xi**m
+        baby, giant = self._baby_steps
         for i in range(m):
-            j = self._baby_steps.get(code)
+            j = baby.get(code)
             if j is not None:
                 return i * m + j
             code = self.mul_code(code, giant)

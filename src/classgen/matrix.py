@@ -76,17 +76,17 @@ class Mat:
         return f"Mat(GF({self.ctx.q}), {self.n}x{self.n})"
 
     def __str__(self):
-        body = []
+        return "\n".join(self._text_rows())
+
+    def _text_rows(self):
+        """The rows of str(self), one at a time: entries separated by spaces,
+        over GF(p^k), k > 1, each as its coefficients in parentheses."""
+        ctx = self.ctx
         for row in self._rows:
-            entries = []
-            for c in row:
-                coeffs = self.ctx.code_to_coeffs(c)
-                if self.ctx.k == 1:
-                    entries.append(str(coeffs[0]))
-                else:
-                    entries.append("(" + ",".join(str(d) for d in coeffs) + ")")
-            body.append(" ".join(entries))
-        return "\n".join(body)
+            if ctx.k == 1:
+                yield " ".join(map(str, row))
+            else:
+                yield " ".join("(" + ",".join(map(str, ctx.code_to_coeffs(c))) + ")" for c in row)
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -15,7 +15,6 @@ import operator
 MAX_Q = 2**40
 DEFAULT_CAP = 2_000_000
 DEFAULT_FIELD_CAP = 2**20
-ROW_CODE_LIMIT = 2**20
 # Limits on degree**2 * bit_length of the field size for the gens and order
 # commands; see check_gens_limit and check_order_limit.  In cold runs at the
 # limits on a 2-vCPU Xeon VM the slowest took 1.1 s and 23 MB (gens
@@ -164,23 +163,6 @@ def case_label(spec: GroupSpec) -> str:
     raise AssertionError(f"unhandled family {fam}")
 
 
-def check_row_code_limit(q: int, n: int) -> None:
-    """Refuse a closure over GF(q) at degree n: its row tables need q**n <= 2**20."""
-    # q >= 2, so any n > 20 exceeds the limit; the min keeps q**n small.
-    if q**min(n, 21) > ROW_CODE_LIMIT:
-        raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
-                         f"GF({q}) at degree {n} exceeds it")
-
-
-def check_key_width(q: int, n: int) -> int:
-    """The bits b of a row code over GF(q) (q**n within its limit); refuse n * b > 64."""
-    bits = (q**n - 1).bit_length()
-    if n * bits > 64:
-        raise ValueError(f"closure needs n * bit_length(q**n - 1) <= 64 (one-word key limit); "
-                         f"GF({q}) at degree {n} needs {n * bits} bits")
-    return bits
-
-
 def field_order(spec: GroupSpec) -> int:
     """The size of the field the matrices of spec live over: q, or q**2 for gu/su."""
     return spec.q**2 if spec.family in (Family.GU, Family.SU) else spec.q
@@ -190,13 +172,6 @@ def check_field_size(q: int) -> None:
     """Refuse a field of q > DEFAULT_FIELD_CAP elements."""
     if q > DEFAULT_FIELD_CAP:
         raise ValueError(f"field cardinality {q} exceeds the cap {DEFAULT_FIELD_CAP}")
-
-
-def check_closure_limit(spec: GroupSpec) -> None:
-    """Refuse uncovered parameters, then a closure past the row-code or key limit."""
-    case_label(spec)
-    check_row_code_limit(field_order(spec), spec.degree)
-    check_key_width(field_order(spec), spec.degree)
 
 
 def _check_size(spec: GroupSpec, field_size: int, limit: int, what: str) -> None:

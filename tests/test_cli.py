@@ -364,7 +364,7 @@ def test_gens_gap_on_fields_past_2048_elements(capsys, family, degree, q):
                     assert ctx.pow_code(ctx.xi_code, int(entry.removeprefix("xi^"))) == e.code
 
 
-@pytest.mark.parametrize("fmt", ["json", "gap"])
+@pytest.mark.parametrize("fmt", ["json", "text", "gap"])
 @pytest.mark.parametrize("family,q", [(Family.GL, 3), (Family.GU, 3)])
 def test_gens_writer_holds_one_row_at_a_time(fmt, family, q):
     # A whole matrix held as FieldElems costs over 50 bytes per entry; a

@@ -387,6 +387,39 @@ def test_closure_refuses_keys_wider_than_one_word_before_building_tables(
         closure(_pair(family, degree, q), cap=cap)
 
 
+# Each closure limit from both sides: (refused spec, its message, accepted spec)
+LIMIT_PAIRS = [
+    # 4 rows of 17 bits against 4 rows of 16 bits, the widest key allowed
+    (GroupSpec(Family.GL, 4, 17), r"needs 68 bits", GroupSpec(Family.GL, 4, 16)),
+    # q**n = 1 092 727 against 1 030 301, the largest covered table of degree 3
+    (GroupSpec(Family.GL, 3, 103), r"q\*\*n <= 2\*\*20", GroupSpec(Family.GL, 3, 101)),
+]
+
+
+@pytest.mark.parametrize("refused,message,accepted", LIMIT_PAIRS, ids=["key-width", "row-codes"])
+def test_certify_and_closure_refuse_at_the_same_limits(monkeypatch, refused, message, accepted):
+    built = []
+
+    def recording_pair(spec, _real=generator_pair):
+        built.append(spec)
+        return _real(spec)
+
+    monkeypatch.setattr(enumeration, "generator_pair", recording_pair)
+    with pytest.raises(ValueError, match=message) as from_certify:
+        certify(refused, cap=10)
+    assert built == []
+    pair = generator_pair(refused)
+    with pytest.raises(ValueError) as from_closure:
+        closure([pair.a, pair.b], cap=10)
+    assert str(from_closure.value) == str(from_certify.value)
+
+    cert = certify(accepted, cap=10)
+    assert cert.verdict is Verdict.INDETERMINATE
+    pair = generator_pair(accepted)
+    assert cert.closure == closure([pair.a, pair.b], cap=10)
+    assert cert.closure.truncated
+
+
 SL23_ELEMENT_BLOBS = [
     "0201000001",
     "0201010001",
@@ -479,8 +512,8 @@ def test_product_of_keys_matches_mat_mul(p, k, n):
     keys = np.array([_key(_row_codes(m), bits) for m in mats], dtype=dtype)
     before = keys.copy()
     table = _row_table(gen)
-    assert table.dtype == dtype
-    got = _product(keys, table, n, bits)
+    assert table.dtype == np.uint32
+    got = _product(keys, table.astype(dtype), n, bits)
     assert got.dtype == dtype
     assert got.tolist() == [_key(_row_codes(m * gen), bits) for m in mats]
     assert (keys == before).all()
@@ -618,7 +651,7 @@ def test_keys_of_32_bits_are_uint32(monkeypatch):
 def test_keys_of_33_bits_are_uint64(monkeypatch, cap):
     # GL(3,11): three 11-bit rows
     gens = _pair(Family.GL, 3, 11)
-    assert {_row_table(g).dtype for g in gens} == {np.dtype(np.uint64)}
+    assert {_row_table(g).dtype for g in gens} == {np.dtype(np.uint32)}
     result, dtypes = _key_dtypes(monkeypatch, gens, cap)
     assert result == enumeration._python_closure(gens, cap)[0]
     assert dtypes == {np.dtype(np.uint64)}

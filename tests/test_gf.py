@@ -14,7 +14,7 @@ from classgen import (
     frobenius,
     poly_string,
 )
-from classgen.gf import FieldElem, _is_irreducible, _is_prime, _poly_mulmod, _poly_power
+from classgen.gf import FieldCtx, FieldElem, _is_irreducible, _is_prime, _poly_mulmod, _poly_power
 from oracles import brute_order, reference_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
@@ -498,6 +498,22 @@ def test_dlog_inverts_xi_powers():
     assert ctx.dlog_code(1) == 0
     with pytest.raises(ZeroDivisionError):
         ctx.dlog_code(0)
+
+
+@pytest.mark.parametrize("p,k", [(2, 10), (101, 1)])
+def test_dlog_builds_its_giant_step_once(monkeypatch, p, k):
+    ctx = field_create(p, k)
+    code = ctx.pow_code(ctx.xi_code, 57)
+    ctx.dlog_code(1)  # builds the baby steps, if no earlier call did
+    calls = []
+    for name in ("pow_code", "inv_code"):
+        def spy(self, *args, _name=name, _real=getattr(FieldCtx, name)):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(FieldCtx, name, spy)
+    assert ctx.dlog_code(code) == 57
+    assert calls == []
 
 
 def test_dlog_round_trips_on_the_largest_field():
