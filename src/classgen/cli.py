@@ -47,10 +47,14 @@ def _json_lines(spec, pair, form, emit_form: bool):
     int or of a list of ints is already its JSON."""
     import json
 
+    text = {}  # entry code -> the JSON of its coefficients, formatted once per document
+
     def rows(m, indent: str):
         yield f'{indent}"rows": ['
-        for i in range(m.n):
-            entries = ", ".join(str(list(m.entry(i, j).coeffs)) for j in range(m.n))
+        for i, row in enumerate(m._rows):
+            for code in set(row).difference(text):
+                text[code] = str(list(pair.ctx.code_to_coeffs(code)))
+            entries = ", ".join(map(text.__getitem__, row))
             yield f"{indent}  [{entries}]" + ("," if i < m.n - 1 else "")
         yield f"{indent}]"
 

@@ -12,15 +12,15 @@ In closure() a matrix is one key, row i in bits [i*b, (i+1)*b) with
 b = (q**n - 1).bit_length(): uint32 when n*b <= 32, else uint64.  The row
 tables are uint32 and closure() widens them to the key's word.  The
 closure limits live here: keys wider than 64 bits, like tables past
-q**n = 2**20 (_ROW_CODE_LIMIT), are refused before any work.  The frontier
-is an array of keys; the visited set is a list of sorted key arrays
-(chunks) of about _CHUNK keys.  A frontier's product by g ORs
-T_g[(key >> i*b) & mask] << i*b over rows i; it is sorted by value, routed
-to the chunks, looked up by binary search, and its new keys are inserted
-and form part of the next frontier.  So the visited set costs 4 or 8 bytes
-per element, plus a copy of one chunk while merging.  The search stops when
-the frontier empties (exact count) or, checked after each generator, the
-visited set grows past the cap (truncated).
+q**n = 2**20 (_ROW_CODE_LIMIT), are refused before any work.  A frontier's
+product by g ORs T_g[(key >> i*b) & mask] << i*b over rows i, and its new
+keys form part of the next frontier.  When n*b <= _DIRECT_KEY_BITS the
+visited set is a bool array indexed by key, at most 4 MiB.  Otherwise it is
+a list of sorted key arrays (chunks) of about _CHUNK keys: a product is
+sorted, routed to the chunks, looked up by binary search and inserted, so
+it costs 4 or 8 bytes per element, plus a copy of one chunk while merging.
+The search stops when the frontier empties (exact count) or, checked after
+each generator, the visited set grows past the cap (truncated).
 
 A finished result depends only on the set of generators (round r finds the
 elements of word length r); a truncated one also on their order.  A
@@ -54,6 +54,10 @@ PYTHON_BFS_MAX_ORDER = 120_000
 
 # Keys per chunk of the visited set, 1 MB of uint64 (2**16 to 2**18 measured alike).
 _CHUNK = 1 << 17
+
+# Keys of at most this many bits index a bool visited set directly: at most
+# 4 MiB, no more than a sorted uint32 set of 2**20 keys.
+_DIRECT_KEY_BITS = 22
 
 _ROW_CODE_LIMIT = 2**20
 
@@ -172,14 +176,13 @@ def _product(keys, table, n: int, bits: int):
     import numpy as np
 
     word = keys.dtype.type
-    mask = word((1 << bits) - 1)
-    index = np.int32 if word is np.uint32 else np.int64  # row codes < 2**20
-    row, image, out = np.empty_like(keys), np.empty_like(keys), np.zeros_like(keys)
+    # the row codes go straight into the intp indices np.take wants, uncast
+    row, image, out = np.empty(len(keys), dtype=np.intp), np.empty_like(keys), np.zeros_like(keys)
     for i in range(n):
         shift = word(i * bits)
-        np.bitwise_and(np.right_shift(keys, shift, out=row), mask, out=row)
+        np.bitwise_and(np.right_shift(keys, shift, out=row), (1 << bits) - 1, out=row)
         # the codes are in range; mode="clip" lets take write into image unbuffered
-        np.take(table, row.view(index), out=image, mode="clip")
+        np.take(table, row, out=image, mode="clip")
         np.bitwise_or(out, np.left_shift(image, shift, out=image), out=out)
     return out
 
@@ -206,6 +209,14 @@ def _merge(chunks, keys):
         if len(chunk) > 2 * _CHUNK:  # copies: a view would keep all of chunk alive
             chunks[j:j + 1] = [chunk[i:i + _CHUNK].copy() for i in range(0, len(chunk), _CHUNK)]
     return fresh[0] if len(fresh) == 1 else np.concatenate(fresh[::-1])
+
+
+def _mark(seen, keys):
+    """Set the distinct keys in seen, a bool array indexed by key, and
+    return those that were not yet set, in their order."""
+    new = keys[~seen[keys]]
+    seen[new] = True
+    return new
 
 
 def _python_closure(gens: list[Mat], cap: int):
@@ -251,13 +262,18 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     tables = [_row_table(g).astype(word, copy=False) for g in gens]
     identity = sum(ctx.q**i << (i * bits) for i in range(n))
     frontier = np.array([identity], dtype=word)
-    chunks, size = [frontier], 1
+    if n * bits <= _DIRECT_KEY_BITS:
+        visited, visit = np.zeros(1 << (n * bits), dtype=bool), _mark
+        visited[identity] = True
+    else:
+        visited, visit = [frontier], _merge
 
-    rounds, truncated = 0, False
+    size, rounds, truncated = 1, 0, False
     while len(frontier) and not truncated:
         fresh = []
         for table in tables:
-            fresh.append(_merge(chunks, _product(frontier, table, n, bits)))
+            # no name holds the products, so each batch is freed once visited
+            fresh.append(visit(visited, _product(frontier, table, n, bits)))
             size += len(fresh[-1])
             if size > cap:
                 truncated = True

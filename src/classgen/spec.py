@@ -17,8 +17,8 @@ DEFAULT_CAP = 2_000_000
 DEFAULT_FIELD_CAP = 2**20
 # Limits on degree**2 * bit_length of the field size for the gens and order
 # commands; see check_gens_limit and check_order_limit.  In cold runs at the
-# limits on a 2-vCPU Xeon VM the slowest took 1.1 s and 23 MB (gens
-# --emit-form of Sp(512,2) in json) and 3.6 s and 24 MB (order of GL(1672,5)).
+# limits on a 2-vCPU Xeon VM the slowest took 0.4 s and 23 MB (gens
+# --emit-form of Sp(512,2), any format) and 3.6 s and 24 MB (order of GL(1672,5)).
 GENS_SIZE_LIMIT = 2**19
 ORDER_SIZE_LIMIT = 2**23
 

@@ -382,6 +382,26 @@ def test_gens_writer_holds_one_row_at_a_time(fmt, family, q):
     assert peak < 4 * spec.degree**2
 
 
+def test_json_writer_formats_each_distinct_entry_code_once(monkeypatch):
+    # GU(64,3) with its form: 3 * 64**2 entries over GF(9), so at most 9 codes
+    spec = GroupSpec(Family.GU, 64, 3)
+    pair = generator_pair(spec)
+    form = families.form_for(spec, pair.ctx)
+    ctx_type, formatted = type(pair.ctx), []
+
+    def counted(ctx, code, _real=ctx_type.code_to_coeffs):
+        formatted.append(code)
+        return _real(ctx, code)
+
+    monkeypatch.setattr(ctx_type, "code_to_coeffs", counted)
+    lines = list(cli._json_lines(spec, pair, form, True))
+    distinct = {code for m in (pair.a, pair.b, form.j) for row in m._rows for code in row}
+    assert set(formatted) == distinct | {pair.ctx.xi_code}  # xi is printed in the header
+    assert len(formatted) <= len(distinct) + 1
+    first = json.loads("\n".join(lines))["generators"][0]["rows"][0][0]
+    assert first == list(pair.a.entry(0, 0).coeffs)
+
+
 # ---------------------------------------------------------------------------
 # certify and order
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen.enumeration import _merge, _product, _python_row_table, _row_table
+from classgen.enumeration import _mark, _merge, _product, _python_row_table, _row_table
 from classgen.spec import field_order
 from oracles import brute_mat_order, set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
@@ -99,6 +99,18 @@ def test_theoretical_order_rejects_uncovered_parameters():
 # Closure enumeration
 # ---------------------------------------------------------------------------
 
+# _DIRECT_KEY_BITS for each visited set of closure(): "sorted" sends every
+# closure to the sorted chunks, "direct" every closure whose keys have at
+# most 24 bits (a bool array of at most 16 MiB) to the direct set.
+VISITED_SETS = {"sorted": 0, "direct": 24}
+
+
+@pytest.fixture(params=list(VISITED_SETS))
+def visited_set(request, monkeypatch):
+    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", VISITED_SETS[request.param])
+    return request.param
+
+
 def test_closure_of_identity_alone():
     result = closure([Mat.identity(GF3, 2)])
     assert result.size == 1
@@ -125,7 +137,7 @@ def test_closure_counts_match_exhaustive_filter():
     assert closure(sl23_gens()).size == sl_count
 
 
-def test_closure_is_independent_of_generator_presentation():
+def test_closure_is_independent_of_generator_presentation(visited_set):
     a, b = sl23_gens()
     baseline = closure([a, b])
     assert closure([b, a]) == baseline
@@ -133,17 +145,22 @@ def test_closure_is_independent_of_generator_presentation():
     assert closure([a, b] * 3) == baseline
 
 
-def test_a_truncated_closure_depends_on_generator_order_but_never_on_repeats():
-    a, b = _pair(Family.SP, 6, 2)
-    for cap, ab, ba in [(100, 102, 113), (100_000, 120_711, 107_026)]:
-        assert closure([a, b], cap).size == ab
-        assert closure([b, a], cap).size == ba
-        # a repeat of an earlier generator finds nothing new
-        assert closure([a, b, a], cap) == closure([a, a, b], cap) == closure([a, b], cap)
-        assert closure([b, a, b, a], cap) == closure([b, a], cap)
+def test_a_truncated_closure_depends_on_generator_order_but_never_on_repeats(visited_set):
+    # Sp(6,2) has 36-bit keys and GL(2,37) 22-bit keys
+    for spec, sizes in [((Family.SP, 6, 2), [(100, 102, 113), (100_000, 120_711, 107_026)]),
+                        ((Family.GL, 2, 37), [(100, 139, 132), (100_000, 110_303, 104_235)])]:
+        a, b = _pair(*spec)
+        for cap, ab, ba in sizes:
+            assert closure([a, b], cap).size == ab
+            assert closure([b, a], cap).size == ba
+            # a repeat of an earlier generator finds nothing new
+            assert closure([a, b, a], cap) == closure([a, a, b], cap) == closure([a, b], cap)
+            assert closure([b, a, b, a], cap) == closure([b, a], cap)
     # a finished closure depends only on the set
-    a, b = _pair(Family.GU, 4, 2)
-    assert closure([b, a]) == closure([a, b, b, a]) == closure([a, b]) == (77760, False, 24)
+    for spec, want in [((Family.GU, 4, 2), (77760, False, 24)),
+                       ((Family.GL, 3, 4), (181_440, False, 26))]:
+        a, b = _pair(*spec)
+        assert closure([b, a]) == closure([a, b, b, a]) == closure([a, b]) == want
 
 
 def test_closure_cap_truncates():
@@ -345,8 +362,12 @@ def test_row_table_products_match_mat_mul():
     (Family.SP, 8, 2, 10, (11, True, 3)),
     (Family.SP, 8, 2, 1000, (1064, True, 13)),
     (Family.SP, 8, 2, 200_000, (204_440, True, 25)),
+    # 21- and 22-bit keys, which closure() marks in a bool array
+    (Family.GL, 3, 5, 1000, (1204, True, 10)),
+    (Family.GL, 3, 5, 100_000, (112_695, True, 17)),
+    (Family.GL, 2, 37, 100_000, (110_303, True, 19)),
 ])
-def test_truncated_closures_are_pinned(family, degree, q, cap, expected):
+def test_truncated_closures_are_pinned(visited_set, family, degree, q, cap, expected):
     gens = _pair(family, degree, q)
     result = closure(gens, cap=cap)
     assert (result.size, result.truncated, result.frontier_rounds) == expected
@@ -484,7 +505,7 @@ def test_closure_and_discovery_order_match_the_set_oracle(family, degree, q):
     (family, degree, q, cap)
     for family, degree, q in [(Family.SL, 2, 3), (Family.SU, 4, 2), (Family.GL, 3, 3)]
     for cap in (1, 10, 100, 1000)])
-def test_capped_closures_match_the_set_oracle(family, degree, q, cap):
+def test_capped_closures_match_the_set_oracle(visited_set, family, degree, q, cap):
     gens = _pair(family, degree, q)
     want, _ = set_closure(gens, cap)
     got = closure(gens, cap=cap)
@@ -580,6 +601,7 @@ def test_merge_splits_an_overflowing_chunk_into_copies(monkeypatch):
 ])
 def test_merge_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, q, size):
     # _merge relies on it: one generator's products of a distinct frontier
+    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", 0)
     batches = []
 
     def spy(chunks, keys, _real=_merge):
@@ -590,6 +612,37 @@ def test_merge_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, 
     monkeypatch.setattr(enumeration, "_merge", spy)
     assert closure(_pair(family, degree, q), cap=200_000).size == size
     assert batches
+
+
+def test_mark_returns_the_unseen_keys_in_their_order_and_sets_them():
+    seen = np.zeros(64, dtype=bool)
+    seen[[3, 10, 40]] = True
+    keys = np.array([40, 7, 3, 63, 0, 10, 12], dtype=np.uint32)
+    assert _mark(seen, keys).tolist() == [7, 63, 0, 12]
+    assert np.flatnonzero(seen).tolist() == [0, 3, 7, 10, 12, 40, 63]
+    assert _mark(seen, keys).tolist() == []
+
+
+@pytest.mark.parametrize("family,degree,q,bits,direct", [
+    (Family.SL, 2, 3, 8, True),
+    (Family.GL, 3, 5, 21, True),
+    (Family.GL, 2, 37, 22, True),    # the widest direct key
+    (Family.GL, 2, 47, 24, False),   # the narrowest sorted one: no covered key has 23 bits
+    (Family.SP, 6, 2, 36, False),
+])
+def test_the_key_width_alone_picks_the_visited_set(monkeypatch, family, degree, q, bits, direct):
+    visited = {"_mark": [], "_merge": []}
+    for name in visited:
+        def spy(store, keys, _name=name, _real=getattr(enumeration, name)):
+            visited[_name].append(store)
+            assert len(np.unique(keys)) == len(keys)  # _mark relies on it too
+            return _real(store, keys)
+        monkeypatch.setattr(enumeration, name, spy)
+    gens = _pair(family, degree, q)
+    assert closure(gens, 1000) == enumeration._python_closure(gens, 1000)[0]
+    assert (bool(visited["_mark"]), bool(visited["_merge"])) == (direct, not direct)
+    for seen in visited["_mark"]:
+        assert seen.dtype == bool and seen.size == 2**bits
 
 
 def _generator_lists(family, degree, q):
@@ -603,6 +656,7 @@ def _generator_lists(family, degree, q):
 def test_closure_in_small_chunks_matches_the_python_bfs(monkeypatch, chunk, family, degree, q):
     # Sp(6,2) has 36-bit keys; at the default cap it is only run past cap 1000
     monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", 0)
     caps = (1, 10, 1000) if family is Family.SP and degree == 6 else (1, 10, 1000, DEFAULT_CAP)
     for gens in _generator_lists(family, degree, q):
         for cap in caps:
@@ -657,13 +711,15 @@ def test_keys_of_33_bits_are_uint64(monkeypatch, cap):
     assert dtypes == {np.dtype(np.uint64)}
 
 
-@pytest.mark.parametrize("family,degree,q,limit", [
-    (Family.SP, 6, 2, 16),   # 36-bit keys: 8 bytes each
-    (Family.GL, 3, 5, 12),   # 21-bit keys: 4 bytes each
+@pytest.mark.parametrize("family,degree,q,visited,limit", [
+    (Family.SP, 6, 2, "sorted", 16),  # 36-bit keys: 8 bytes each
+    (Family.GL, 3, 5, "sorted", 12),  # 21-bit keys: 4 bytes each
+    (Family.GL, 3, 5, "direct", 8),   # a 2 MiB bool array
 ])
-def test_closure_working_set_per_element(family, degree, q, limit):
+def test_closure_working_set_per_element(monkeypatch, family, degree, q, visited, limit):
     # merging into one array of the whole visited set held two copies of it
     # while inserting: 20.4 and 23.9 bytes per element at the peak
+    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", VISITED_SETS[visited])
     gens = _pair(family, degree, q)
     tracemalloc.start()
     try:
@@ -741,6 +797,35 @@ def test_certify_picks_the_kernel_by_the_group_order(monkeypatch, spec, kernel):
     assert calls == [kernel]
     assert cert.closure == want
     assert cert.verdict is Verdict.PASS
+
+
+def test_the_direct_set_serves_the_densest_closures_certify_runs():
+    # Pure arithmetic over the covered specs certify() sends to closure():
+    # |G| above the Python BFS bound, Q**n <= 2**20 and keys of at most 64
+    # bits.  Every covered degree has n >= 2.
+    finished, capped = {}, {}
+    n = 2
+    while 2**n <= 2**20:
+        q = 2
+        while q**n <= 2**20:
+            for family in Family:
+                spec = GroupSpec(family, n, q)
+                try:
+                    order = theoretical_order(spec)
+                except UnsupportedParametersError:
+                    continue
+                rows = field_order(spec) ** n
+                bits = n * (rows - 1).bit_length()
+                if rows <= 2**20 and bits <= 64 and order > enumeration.PYTHON_BFS_MAX_ORDER:
+                    (finished if order <= DEFAULT_CAP else capped)[spec] = bits, order
+            q += 1
+        n += 1
+    direct = [s for s, (bits, _) in finished.items() if bits <= enumeration._DIRECT_KEY_BITS]
+    assert (len(finished), len(direct)) == (53, 11)
+    # they are exactly the finished closures that fill more than 1/64 of their key space
+    assert direct == [s for s, (bits, order) in finished.items() if 64 * order > 2**bits]
+    assert [s for s, (bits, _) in capped.items() if bits <= enumeration._DIRECT_KEY_BITS] == [
+        GroupSpec(Family.GL, 2, 41), GroupSpec(Family.GL, 2, 43)]
 
 
 def test_every_group_the_python_search_takes_has_at_most_4096_row_codes():
