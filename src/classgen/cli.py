@@ -49,13 +49,13 @@ def _json_lines(spec, pair, form, emit_form: bool):
 
     text = {}  # entry code -> the JSON of its coefficients, formatted once per document
 
+    def entry(code):
+        return str(list(pair.ctx.code_to_coeffs(code)))
+
     def rows(m, indent: str):
         yield f'{indent}"rows": ['
-        for i, row in enumerate(m._rows):
-            for code in set(row).difference(text):
-                text[code] = str(list(pair.ctx.code_to_coeffs(code)))
-            entries = ", ".join(map(text.__getitem__, row))
-            yield f"{indent}  [{entries}]" + ("," if i < m.n - 1 else "")
+        for i, entries in enumerate(m._format_rows(entry, text, ", "), 1):
+            yield f"{indent}  [{entries}]" + ("," if i < m.n else "")
         yield f"{indent}]"
 
     yield "{"
@@ -86,7 +86,7 @@ def _json_lines(spec, pair, form, emit_form: bool):
 
 
 def _text_lines(spec, pair, form, emit_form: bool):
-    ctx = pair.ctx
+    ctx, text, entry = pair.ctx, {}, pair.a._text_entry  # as str() prints an entry
     yield f"family: {spec.family.value}"
     yield f"degree: {spec.degree}"
     yield f"q: {spec.q}"
@@ -95,25 +95,26 @@ def _text_lines(spec, pair, form, emit_form: bool):
            f"modulus={list(ctx.modulus)}, xi={list(ctx.xi.coeffs)}")
     for title, m in ("generator a:", pair.a), ("generator b:", pair.b):
         yield title
-        yield from ("  " + line for line in m._text_rows())
+        yield from ("  " + line for line in m._format_rows(entry, text, " "))
     if emit_form:
         yield f"form: {'none' if form is None else form.kind.value}"
     if form is not None:
-        yield from ("  " + line for line in form.j._text_rows())
+        yield from ("  " + line for line in form.j._format_rows(entry, text, " "))
 
 
 def _gap_lines(spec, pair, form, emit_form: bool):
     """Entries as powers of xi, the xi mapping stated up front."""
     from classgen.gf import poly_string
 
-    ctx = pair.ctx
+    ctx, text = pair.ctx, {}
+
+    def entry(code):
+        return f"xi^{ctx.dlog_code(code)}" if code else "0*xi^0"
 
     def matrix(name: str, m):
         yield f"{name} := ["
-        for i in range(m.n):
-            row = (m.entry(i, j) for j in range(m.n))
-            entries = ", ".join(f"xi^{ctx.dlog_code(e.code)}" if e else "0*xi^0" for e in row)
-            yield f"  [ {entries} ]" + ("," if i < m.n - 1 else "")
+        for i, entries in enumerate(m._format_rows(entry, text, ", "), 1):
+            yield f"  [ {entries} ]" + ("," if i < m.n else "")
         yield "];"
 
     yield (f"# family {spec.family.value}, degree {spec.degree}, q {spec.q}, "
@@ -133,8 +134,7 @@ def _gap_lines(spec, pair, form, emit_form: bool):
 _WRITERS = {"json": _json_lines, "text": _text_lines, "gap": _gap_lines}
 
 
-def cmd_gens(args) -> int:
-    spec = GroupSpec(parse_family(args.family), args.degree, args.q)
+def cmd_gens(spec, args) -> int:
     check_gens_limit(spec)
     from classgen.families import form_for, generator_pair
 
@@ -176,8 +176,7 @@ def _exact(n: int) -> str:
     return str(convert(n))
 
 
-def cmd_certify(args) -> int:
-    spec = GroupSpec(parse_family(args.family), args.degree, args.q)
+def cmd_certify(spec, args) -> int:
     from classgen import enumeration
 
     cert = enumeration.certify(spec, cap=args.cap)
@@ -199,8 +198,7 @@ def cmd_certify(args) -> int:
     return 1
 
 
-def cmd_order(args) -> int:
-    spec = GroupSpec(parse_family(args.family), args.degree, args.q)
+def cmd_order(spec, args) -> int:
     check_order_limit(spec)
     print(_exact(theoretical_order(spec)))
     return 0
@@ -244,7 +242,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = args.func(GroupSpec(parse_family(args.family), args.degree, args.q), args)
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
     except KeyboardInterrupt:
@@ -263,7 +261,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # a crash must not read as a FAIL verdict
         print(f"classgen: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -46,10 +46,10 @@ from classgen.matrix import Mat
 from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, case_label, field_order,
                            theoretical_order)
 
-# certify() enumerates a group of at most this order in pure Python.  In cold
-# certify runs on a 2-vCPU Xeon VM the Python BFS cost 1.3 us per element and
-# the numpy closure 0.11 s more for its import plus 0.44 us per element, so
-# the two break even near 1.2e5 elements.
+# certify() enumerates a group of at most this order in pure Python.  It was
+# fitted as the break-even with the numpy closure in cold certify runs on a
+# 2-vCPU Xeon VM; checked again there, Python is faster up to 79 464 elements
+# and numpy by about 20 ms from 103 776 (README, Closure kernel).
 PYTHON_BFS_MAX_ORDER = 120_000
 
 # Keys per chunk of the visited set, 1 MB of uint64 (2**16 to 2**18 measured alike).

@@ -150,9 +150,12 @@ def is_member(spec: GroupSpec, m: Mat) -> bool:
     """The membership predicate of spec's family applied to m."""
     if m.n != spec.degree:
         raise ValueError(f"degree mismatch: matrix is {m.n}, spec wants {spec.degree}")
+    ctx = field_for(spec)
+    if m.ctx != ctx:
+        raise ValueError(f"field mismatch: matrix is over {m.ctx!r}, spec wants {ctx!r}")
     if spec.family is Family.GL:
         return bool(m.det())
-    form = form_for(spec, m.ctx)
+    form = form_for(spec, ctx)
     if form is not None and not preserves(m, form):
         return False
     return spec.family not in (Family.SL, Family.SU) or is_special(m)

@@ -76,17 +76,23 @@ class Mat:
         return f"Mat(GF({self.ctx.q}), {self.n}x{self.n})"
 
     def __str__(self):
-        return "\n".join(self._text_rows())
+        return "\n".join(self._format_rows(self._text_entry, {}, " "))
 
-    def _text_rows(self):
-        """The rows of str(self), one at a time: entries separated by spaces,
-        over GF(p^k), k > 1, each as its coefficients in parentheses."""
-        ctx = self.ctx
+    def _text_entry(self, code: int) -> str:
+        """An entry as str() prints it: its code over a prime field, else its
+        coefficients in parentheses."""
+        if self.ctx.k == 1:
+            return str(code)
+        return "(" + ",".join(map(str, self.ctx.code_to_coeffs(code))) + ")"
+
+    def _format_rows(self, entry, text: dict, sep: str):
+        """Each row's entries joined by sep, one row at a time.  entry(code)
+        formats each code once; text (code -> its text) keeps the results, so
+        matrices that share it format a code once between them."""
         for row in self._rows:
-            if ctx.k == 1:
-                yield " ".join(map(str, row))
-            else:
-                yield " ".join("(" + ",".join(map(str, ctx.code_to_coeffs(c))) + ")" for c in row)
+            for code in set(row).difference(text):
+                text[code] = entry(code)
+            yield sep.join(map(text.__getitem__, row))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -138,46 +144,38 @@ class Mat:
         return Mat(ctx, [[ctx.frobenius_code(c) for c in col] for col in zip(*self._rows)])
 
     def det(self) -> FieldElem:
-        """Determinant by Gaussian elimination, pivoting on the first nonzero entry."""
+        """Determinant, the product of the pivots of Gauss-Jordan elimination,
+        negated once per row swap."""
+        return FieldElem(self.ctx, self._eliminate()[0])
+
+    def inverse(self) -> "Mat":
+        """Inverse by Gauss-Jordan elimination; raises ZeroDivisionError if singular."""
+        rows = self._eliminate()[1]
+        if rows is None:
+            raise ZeroDivisionError("matrix is singular")
+        return Mat(self.ctx, rows)
+
+    def _eliminate(self) -> tuple:
+        """One Gauss-Jordan pass over [self | I], pivoting on the first nonzero
+        entry: the code of det(self) and the rows of the inverse, or (0, None)
+        at the first column with no pivot."""
         ctx, n = self.ctx, self.n
-        a = [list(row) for row in self._rows]
+        mul, sub = ctx.mul_code, ctx.sub_code
+        a = [list(row) + ident for row, ident in zip(self._rows, _identity_codes(n))]
         det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
-                return ctx.zero
+                return 0, None
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
                 det = ctx.neg_code(det)
             pval = a[col][col]
-            det = ctx.mul_code(det, pval)
+            det = mul(det, pval)
             pinv = ctx.inv_code(pval)
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = ctx.mul_code(a[r][col], pinv)
-                    for c in range(col, n):
-                        a[r][c] = ctx.sub_code(a[r][c], ctx.mul_code(f, a[col][c]))
-        return FieldElem(ctx, det)
-
-    def inverse(self) -> "Mat":
-        """Inverse by Gauss-Jordan elimination; raises ZeroDivisionError if singular."""
-        ctx, n = self.ctx, self.n
-        a = [list(row) for row in self._rows]
-        b = _identity_codes(n)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-            pinv = ctx.inv_code(a[col][col])
-            a[col] = [ctx.mul_code(pinv, x) for x in a[col]]
-            b[col] = [ctx.mul_code(pinv, x) for x in b[col]]
+            a[col] = [mul(pinv, x) for x in a[col]]
             for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [ctx.sub_code(x, ctx.mul_code(f, y)) for x, y in zip(a[r], a[col])]
-                    b[r] = [ctx.sub_code(x, ctx.mul_code(f, y)) for x, y in zip(b[r], b[col])]
-        return Mat(ctx, b)
-
+                f = a[r][col]
+                if r != col and f:
+                    a[r] = [sub(x, mul(f, y)) if y else x for x, y in zip(a[r], a[col])]
+        return det, [row[n:] for row in a]

@@ -17,8 +17,9 @@ DEFAULT_CAP = 2_000_000
 DEFAULT_FIELD_CAP = 2**20
 # Limits on degree**2 * bit_length of the field size for the gens and order
 # commands; see check_gens_limit and check_order_limit.  In cold runs at the
-# limits on a 2-vCPU Xeon VM the slowest took 0.4 s and 23 MB (gens
-# --emit-form of Sp(512,2), any format) and 3.6 s and 24 MB (order of GL(1672,5)).
+# limits on a 2-vCPU Xeon VM the slowest took 0.34 s and 24 MB (gens of
+# Sp(512,2) --emit-form or GL(512,3); README Limits gives each format) and
+# 3.6 s and 24 MB (order of GL(1672,5)).
 GENS_SIZE_LIMIT = 2**19
 ORDER_SIZE_LIMIT = 2**23
 
@@ -35,7 +36,8 @@ class Family(enum.Enum):
     SU = "su"
 
 
-_LONG_NAMES = {
+_NAMES = {
+    **{fam.value: fam for fam in Family},
     "general linear": Family.GL,
     "special linear": Family.SL,
     "symplectic": Family.SP,
@@ -47,12 +49,9 @@ _LONG_NAMES = {
 def parse_family(name: str) -> Family:
     """Accepts short names (gl, sl, sp, gu, su) and long names, case-insensitive;
     long names may use spaces or underscores."""
-    key = name.strip().lower().replace("_", " ")
-    for fam in Family:
-        if key == fam.value:
-            return fam
-    if key in _LONG_NAMES:
-        return _LONG_NAMES[key]
+    family = _NAMES.get(name.strip().lower().replace("_", " "))
+    if family is not None:
+        return family
     raise ValueError(f"unknown family {name!r}; use gl, sl, sp, gu, su or the long names")
 
 

@@ -402,6 +402,30 @@ def test_json_writer_formats_each_distinct_entry_code_once(monkeypatch):
     assert first == list(pair.a.entry(0, 0).coeffs)
 
 
+@pytest.mark.parametrize("writer,method", [(cli._text_lines, "code_to_coeffs"),
+                                           (cli._gap_lines, "dlog_code")], ids=["text", "gap"])
+def test_text_and_gap_writers_format_each_distinct_entry_code_once(monkeypatch, writer, method):
+    # GU(64,3) with its form: 12 288 entries over GF(9) with 6 distinct codes, 5 nonzero
+    spec = GroupSpec(Family.GU, 64, 3)
+    pair = generator_pair(spec)
+    form = families.form_for(spec, pair.ctx)
+    ctx_type, formatted = type(pair.ctx), []
+
+    def counted(ctx, code, _real=getattr(ctx_type, method)):
+        formatted.append(code)
+        return _real(ctx, code)
+
+    monkeypatch.setattr(ctx_type, method, counted)
+    list(writer(spec, pair, form, True))
+    distinct = {code for m in (pair.a, pair.b, form.j) for row in m._rows for code in row}
+    assert len(distinct) == 6
+    if method == "dlog_code":  # zero prints as 0*xi^0 and the header has no logs
+        assert sorted(formatted) == sorted(distinct - {0})
+    else:  # the text header prints xi's coefficients
+        assert set(formatted) == distinct | {pair.ctx.xi_code}
+        assert len(formatted) <= len(distinct) + 1
+
+
 # ---------------------------------------------------------------------------
 # certify and order
 # ---------------------------------------------------------------------------

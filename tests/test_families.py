@@ -420,3 +420,19 @@ def test_is_member_rejects_degree_mismatch():
     spec = GroupSpec(Family.GL, 3, 5)
     with pytest.raises(ValueError, match="degree mismatch"):
         is_member(spec, Mat.identity(field_for(spec), 2))
+
+
+def _gf9_diag_xi_1():
+    gf9 = field_for(GroupSpec(Family.GL, 2, 9))
+    return elem_h(gf9, 1, gf9.xi, 2)
+
+
+@pytest.mark.parametrize("spec,matrix", [
+    (GroupSpec(Family.GU, 3, 2), lambda: generator_pair(GroupSpec(Family.GU, 3, 4)).a),
+    (GroupSpec(Family.SP, 4, 3), lambda: generator_pair(GroupSpec(Family.SP, 4, 9)).a),
+    (GroupSpec(Family.GL, 2, 3), _gf9_diag_xi_1),
+], ids=["GU(3,4)-a-in-GU(3,2)", "Sp(4,9)-a-in-Sp(4,3)", "diag(xi,1)-over-GF9-in-GL(2,3)"])
+def test_is_member_rejects_field_mismatch(spec, matrix):
+    # Each matrix would pass the predicate of spec's family; its field is not spec's.
+    with pytest.raises(ValueError, match="field mismatch"):
+        is_member(spec, matrix())

@@ -26,6 +26,12 @@ def random_invertible(ctx, n, rng):
             return m
 
 
+def every_small_matrix():
+    """Every matrix over GF(2) up to degree 3 and over GF(3) and GF(4) at degree 2."""
+    for ctx, n in (GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2):
+        yield from all_matrices(ctx, n)
+
+
 # ---------------------------------------------------------------------------
 # Construction and access
 # ---------------------------------------------------------------------------
@@ -248,13 +254,16 @@ def test_det_small_goldens():
     assert cycle_w(GF5, 4).det() == GF5.one
 
 
-@pytest.mark.parametrize("ctx", [GF2, GF3, GF4, GF5, GF8, GF9], ids=lambda c: f"GF{c.q}")
+@pytest.mark.parametrize("ctx", [GF2, GF3, GF4, GF5, GF8, GF9, None],
+                         ids=lambda c: "every-small" if c is None else f"GF{c.q}")
 def test_det_matches_cofactor_oracle(ctx):
     rng = random.Random(17)
-    for n in (1, 2, 3, 4):
-        for _ in range(6):
-            m = random_mat(ctx, n, rng)
-            assert m.det() == cofactor_det(m)
+    if ctx is None:
+        mats = every_small_matrix()
+    else:
+        mats = (random_mat(ctx, n, rng) for n in (1, 2, 3, 4) for _ in range(6))
+    for m in mats:
+        assert m.det() == cofactor_det(m)
 
 
 def test_det_multiplicative_random():
@@ -277,6 +286,13 @@ def test_inverse_round_trip_random():
             m = random_invertible(ctx, n, rng)
             assert m * m.inverse() == Mat.identity(ctx, n)
             assert m.inverse() * m == Mat.identity(ctx, n)
+    for m in every_small_matrix():
+        if cofactor_det(m):
+            assert m * m.inverse() == Mat.identity(m.ctx, m.n) == m.inverse() * m
+        else:
+            assert m.det() == m.ctx.zero
+            with pytest.raises(ZeroDivisionError, match="singular"):
+                m.inverse()
 
 
 def test_inverse_singular_raises():

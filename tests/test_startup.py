@@ -177,6 +177,20 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def test_only_the_package_main_module_has_a_main_block():
+    # One entry point: `python -m classgen` runs __main__.py, and the console
+    # script calls cli.main.
+    def is_main_check(node):
+        return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and {getattr(n, "id", getattr(n, "value", None))
+                     for n in (node.test.left, *node.test.comparators)}
+                == {"__name__", "__main__"})
+
+    blocks = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if any(map(is_main_check, ast.walk(ast.parse(path.read_text()))))]
+    assert blocks == ["__main__.py"]
+
+
 @pytest.mark.parametrize("module,allowed", [("spec", set()), ("cli", {"classgen.spec"})])
 def test_spec_and_cli_import_no_matrix_module_at_import_time(module, allowed):
     # `from classgen import X` counts as classgen itself, which may load any
