@@ -13,14 +13,23 @@ b = (q**n - 1).bit_length(): uint32 when n*b <= 32, else uint64.  The row
 tables are uint32 and closure() widens them to the key's word.  The
 closure limits live here: keys wider than 64 bits, like tables past
 q**n = 2**20 (_ROW_CODE_LIMIT), are refused before any work.  A frontier's
-product by g ORs T_g[(key >> i*b) & mask] << i*b over rows i, and its new
-keys form part of the next frontier.  When n*b <= _DIRECT_KEY_BITS the
-visited set is a bool array indexed by key, at most 4 MiB.  Otherwise it is
-a list of sorted key arrays (chunks) of about _CHUNK keys: a product is
-sorted, routed to the chunks, looked up by binary search and inserted, so
-it costs 4 or 8 bytes per element, plus a copy of one chunk while merging.
-The search stops when the frontier empties (exact count) or, checked after
-each generator, the visited set grows past the cap (truncated).
+product by g ORs T_g[(key >> i*b) & mask] << i*b over rows i, w rows per
+gather: w = max(1, min(n, _LOOKUP_BITS // b)), from a table of 2**(w*b)
+keys built from T_g, M4RI's table of row combinations (w >= 2 in 20 of the
+664 covered groups certify() sends here).  The frontier is kept as one
+batch per generator that found its keys, plus round 0's identity, and its
+new keys form part of the next frontier.  If g_j * g_i = 1, g_i skips the
+batch g_j found: each of those products is its parent, already visited
+(free reduction; in 14 of those 664 pairs a is an involution).  Every
+skipped product was a duplicate, so neither cut changes a result.
+
+When n*b <= _DIRECT_KEY_BITS the visited set is a bool array indexed by
+key, at most 4 MiB.  Otherwise it is a list of sorted key arrays (chunks)
+of about _CHUNK keys: a product is sorted, routed to the chunks, looked up
+by binary search and inserted, so it costs 4 or 8 bytes per element, plus
+a copy of one chunk while merging.  The search stops when the frontier
+empties (exact count) or, checked after each generator, the visited set
+grows past the cap (truncated).
 
 A finished result depends only on the set of generators (round r finds the
 elements of word length r); a truncated one also on their order.  A
@@ -60,6 +69,16 @@ _CHUNK = 1 << 17
 _DIRECT_KEY_BITS = 22
 
 _ROW_CODE_LIMIT = 2**20
+
+# _product looks up w = max(1, _LOOKUP_BITS // b) rows of b bits at once, in a
+# table of at most 2**_LOOKUP_BITS keys (M4RI's table of row combinations).
+_LOOKUP_BITS = 16
+
+# _product works through this many keys at a time, so its two temporaries
+# stay at 128 KiB whatever the batch size.  Temporaries the size of each
+# batch, which the inverse skip makes unequal, fragment the heap and raise
+# the peak RSS (README, Closure kernel).
+_BLOCK = 1 << 14
 
 
 def _check_row_code_limit(q: int, n: int) -> None:
@@ -169,21 +188,46 @@ def _python_row_table(g: Mat) -> list[int]:
     return table
 
 
+def _lookup_table(table, n: int, bits: int):
+    """table = _row_table(g) widened to w = max(1, min(n, _LOOKUP_BITS // bits))
+    rows: entry r_0 | r_1 << bits | ... maps each b-bit row code r_j to
+    table[r_j] in the same place (0 past q**n).  Returns it and w; a table
+    that already has 2**(w*bits) entries, or w = 1, is returned as it is."""
+    import numpy as np
+
+    w = max(1, min(n, _LOOKUP_BITS // bits))
+    if w > 1 and len(table) < 1 << w * bits:
+        pad = np.zeros(1 << bits, dtype=table.dtype)
+        pad[:len(table)] = table
+        table = pad
+        for j in range(1, w):  # entry hi << (j*bits) | lo is pad[hi] << (j*bits) | table[lo]
+            table = (np.left_shift(pad, table.dtype.type(j * bits))[:, None] | table).ravel()
+    return table, w
+
+
 def _product(keys, table, n: int, bits: int):
-    """The keys of M*g for the keys of M, table = _row_table(g): row i of
-    M*g is table[row i of M], through two reused temporaries.  keys and
-    table share one dtype."""
+    """The keys of M*g for the keys of M, table = _row_table(g) or its
+    _lookup_table: row i of M*g is table[row i of M].  One gather reads w
+    rows of M (the last group may hold fewer), so only the n rows of a key
+    are read.  keys and table share one dtype."""
     import numpy as np
 
     word = keys.dtype.type
+    table, w = _lookup_table(table, n, bits)
+    out = np.zeros_like(keys)
     # the row codes go straight into the intp indices np.take wants, uncast
-    row, image, out = np.empty(len(keys), dtype=np.intp), np.empty_like(keys), np.zeros_like(keys)
-    for i in range(n):
-        shift = word(i * bits)
-        np.bitwise_and(np.right_shift(keys, shift, out=row), (1 << bits) - 1, out=row)
-        # the codes are in range; mode="clip" lets take write into image unbuffered
-        np.take(table, row, out=image, mode="clip")
-        np.bitwise_or(out, np.left_shift(image, shift, out=image), out=out)
+    size = min(len(keys), _BLOCK)
+    rows, images = np.empty(size, dtype=np.intp), np.empty(size, dtype=keys.dtype)
+    for start in range(0, len(keys), _BLOCK):
+        block, into = keys[start:start + _BLOCK], out[start:start + _BLOCK]
+        row, image = rows[:len(block)], images[:len(block)]
+        for i in range(0, n, w):
+            shift = word(i * bits)
+            mask = (1 << min(w, n - i) * bits) - 1
+            np.bitwise_and(np.right_shift(block, shift, out=row), mask, out=row)
+            # the codes are in range; mode="clip" lets take write into image unbuffered
+            np.take(table, row, out=image, mode="clip")
+            np.bitwise_or(into, np.left_shift(image, shift, out=image), out=into)
     return out
 
 
@@ -259,9 +303,14 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     ctx, n, cap = _prepare(gens, cap)
     bits = _check_key_width(ctx.q, n)
     word = np.uint32 if n * bits <= 32 else np.uint64
-    tables = [_row_table(g).astype(word, copy=False) for g in gens]
+    tables = [_lookup_table(_row_table(g).astype(word, copy=False), n, bits)[0] for g in gens]
     identity = sum(ctx.q**i << (i * bits) for i in range(n))
     frontier = np.array([identity], dtype=word)
+    # If g_j * g_i = 1, g_i maps each key g_j found back to its parent, which
+    # is visited: g_i skips that batch.  Round 0's identity batch has no g_j.
+    one = Mat.identity(ctx, n)
+    undoes = [[g * h == one for h in gens] for g in gens]
+    batches = [([False] * len(gens), frontier)]
     if n * bits <= _DIRECT_KEY_BITS:
         visited, visit = np.zeros(1 << (n * bits), dtype=bool), _mark
         visited[identity] = True
@@ -271,14 +320,19 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     size, rounds, truncated = 1, 0, False
     while len(frontier) and not truncated:
         fresh = []
-        for table in tables:
+        for i, table in enumerate(tables):
+            kept = [keys for skips, keys in batches if not skips[i]]
+            source = (frontier if len(kept) == len(batches) else kept[0] if len(kept) == 1
+                      else np.concatenate([frontier[:0], *kept]))
             # no name holds the products, so each batch is freed once visited
-            fresh.append(visit(visited, _product(frontier, table, n, bits)))
+            fresh.append(visit(visited, _product(source, table, n, bits)))
             size += len(fresh[-1])
             if size > cap:
                 truncated = True
                 break
         frontier = np.concatenate(fresh)
+        # views of frontier, one per generator that found them
+        batches = list(zip(undoes, np.split(frontier, np.cumsum([len(f) for f in fresh[:-1]]))))
         if len(frontier):
             rounds += 1
     return ClosureResult(size, truncated, rounds)

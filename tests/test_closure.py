@@ -26,7 +26,8 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen.enumeration import _mark, _merge, _product, _python_row_table, _row_table
+from classgen.enumeration import (_lookup_table, _mark, _merge, _product, _python_row_table,
+                                  _row_table)
 from classgen.spec import field_order
 from oracles import brute_mat_order, set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
@@ -108,6 +109,17 @@ VISITED_SETS = {"sorted": 0, "direct": 24}
 @pytest.fixture(params=list(VISITED_SETS))
 def visited_set(request, monkeypatch):
     monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", VISITED_SETS[request.param])
+    return request.param
+
+
+# _LOOKUP_BITS for each lookup width of _product: "one-row" reads one row
+# per gather (w = 1), "grouped" as many as fit in 16 bits.
+LOOKUPS = {"one-row": 0, "grouped": enumeration._LOOKUP_BITS}
+
+
+@pytest.fixture(params=list(LOOKUPS))
+def lookup(request, monkeypatch):
+    monkeypatch.setattr(enumeration, "_LOOKUP_BITS", LOOKUPS[request.param])
     return request.param
 
 
@@ -505,7 +517,7 @@ def test_closure_and_discovery_order_match_the_set_oracle(family, degree, q):
     (family, degree, q, cap)
     for family, degree, q in [(Family.SL, 2, 3), (Family.SU, 4, 2), (Family.GL, 3, 3)]
     for cap in (1, 10, 100, 1000)])
-def test_capped_closures_match_the_set_oracle(visited_set, family, degree, q, cap):
+def test_capped_closures_match_the_set_oracle(visited_set, lookup, family, degree, q, cap):
     gens = _pair(family, degree, q)
     want, _ = set_closure(gens, cap)
     got = closure(gens, cap=cap)
@@ -517,11 +529,13 @@ def _key(row_codes, bits):
     return sum(code << (i * bits) for i, code in enumerate(row_codes))
 
 
-@pytest.mark.parametrize("p,k,n", [
-    (2, 1, 8), (97, 1, 3), (3, 2, 3), (2, 2, 4), (5, 1, 2), (5, 1, 3)])
-def test_product_of_keys_matches_mat_mul(p, k, n):
-    # (2, 1, 8) fills all 64 bits; (97, 1, 3) has 20-bit rows; (2, 2, 4) fills
-    # all 32 bits; (5, 1, 3) has 21-bit keys
+@pytest.mark.parametrize("p,k,n,w", [
+    (2, 1, 8, 2), (97, 1, 3, 1), (3, 2, 3, 1), (2, 2, 4, 2), (5, 1, 2, 2), (5, 1, 3, 2),
+    (2, 1, 5, 3)])
+def test_product_of_keys_matches_mat_mul(monkeypatch, lookup, p, k, n, w):
+    # w rows per gather when grouped.  (2, 1, 8) fills all 64 bits; (97, 1, 3)
+    # has 20-bit rows; (2, 2, 4) fills all 32 bits; (5, 1, 3) has 21-bit keys
+    # and (2, 1, 5) 25-bit ones, each ending in a group of fewer rows
     ctx = field_create(p, k)
     bits = (ctx.q**n - 1).bit_length()
     dtype = np.uint32 if n * bits <= 32 else np.uint64
@@ -534,10 +548,24 @@ def test_product_of_keys_matches_mat_mul(p, k, n):
     before = keys.copy()
     table = _row_table(gen)
     assert table.dtype == np.uint32
-    got = _product(keys, table.astype(dtype), n, bits)
+    table = table.astype(dtype)
+    want = [_key(_row_codes(m * gen), bits) for m in mats]
+    got = _product(keys, table, n, bits)
     assert got.dtype == dtype
-    assert got.tolist() == [_key(_row_codes(m * gen), bits) for m in mats]
+    assert got.tolist() == want
     assert (keys == before).all()
+    # a prebuilt lookup table gives the same products
+    lookup_table, rows = _lookup_table(table, n, bits)
+    assert rows == (w if lookup == "grouped" else 1)
+    assert _lookup_table(lookup_table, n, bits)[0] is lookup_table
+    assert _product(keys, lookup_table, n, bits).tolist() == want
+    # only the n rows of a key are read: bits above them change nothing
+    spare = np.dtype(dtype).itemsize * 8 - n * bits
+    junk = [rng.getrandbits(spare) << (n * bits) for _ in mats] if spare else [0] * len(mats)
+    assert _product(keys | np.array(junk, dtype=dtype), table, n, bits).tolist() == want
+    # in blocks of 64 keys, the last one of 9
+    monkeypatch.setattr(enumeration, "_BLOCK", 64)
+    assert _product(keys, table, n, bits).tolist() == want
 
 
 def _chunked(values, size):
@@ -646,8 +674,47 @@ def test_the_key_width_alone_picks_the_visited_set(monkeypatch, family, degree, 
 
 
 def _generator_lists(family, degree, q):
+    # [b, b**-1] and [a, a] hold a generator that undoes another, or itself
     a, b = _pair(family, degree, q)
-    return [[a, b], [b, a], [a], [a, b, a * b]]
+    return [[a, b], [b, a], [a], [a, b, a * b], [b, b.inverse()], [a, a]]
+
+
+@pytest.mark.parametrize("family,degree,q", [
+    (Family.GL, 2, 3), (Family.SU, 3, 2), (Family.SP, 4, 2)])
+def test_each_generator_list_matches_both_oracles(visited_set, lookup, family, degree, q):
+    for gens in _generator_lists(family, degree, q):
+        for cap in (1, 10, 1000, DEFAULT_CAP):
+            got = closure(gens, cap)
+            assert got == enumeration._python_closure(gens, cap)[0]
+            assert tuple(got) == set_closure(gens, cap)[0]
+
+
+def test_a_generator_skips_the_keys_its_inverse_found(monkeypatch):
+    # Sp(6,2)'s a is an involution and b is not: from round 1 on, a
+    # multiplies only the keys b found the round before, b all of them
+    a, b = _pair(Family.SP, 6, 2)
+    one = Mat.identity(a.ctx, 6)
+    assert a * a == one and b * b != one and a * b != one
+    calls = []  # [keys multiplied, keys found], a's and b's in turn
+
+    def product(keys, table, n, bits, _real=_product):
+        calls.append([keys.copy()])
+        return _real(keys, table, n, bits)
+
+    def merge(chunks, keys, _real=_merge):
+        calls[-1].append(_real(chunks, keys))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(enumeration, "_product", product)
+    monkeypatch.setattr(enumeration, "_merge", merge)
+    assert closure([a, b], 100_000) == (120_711, True, 25)
+    by_a, by_b = calls[0::2], calls[1::2]
+    assert len(by_a) == len(by_b) == 25
+    identity = _key([1, 2, 4, 8, 16, 32], 6)
+    assert by_a[0][0].tolist() == by_b[0][0].tolist() == [identity]
+    for r in range(1, 25):
+        assert by_a[r][0].tolist() == by_b[r - 1][1].tolist()
+        assert by_b[r][0].tolist() == by_a[r - 1][1].tolist() + by_b[r - 1][1].tolist()
 
 
 @pytest.mark.parametrize("chunk,family,degree,q", [
@@ -712,9 +779,9 @@ def test_keys_of_33_bits_are_uint64(monkeypatch, cap):
 
 
 @pytest.mark.parametrize("family,degree,q,visited,limit", [
-    (Family.SP, 6, 2, "sorted", 16),  # 36-bit keys: 8 bytes each
+    (Family.SP, 6, 2, "sorted", 13),  # 36-bit keys, 8 bytes each: at most 18 MiB
     (Family.GL, 3, 5, "sorted", 12),  # 21-bit keys: 4 bytes each
-    (Family.GL, 3, 5, "direct", 8),   # a 2 MiB bool array
+    (Family.GL, 3, 5, "direct", 5),   # a 2 MiB bool array; _product in blocks
 ])
 def test_closure_working_set_per_element(monkeypatch, family, degree, q, visited, limit):
     # merging into one array of the whole visited set held two copies of it
@@ -799,10 +866,11 @@ def test_certify_picks_the_kernel_by_the_group_order(monkeypatch, spec, kernel):
     assert cert.verdict is Verdict.PASS
 
 
-def test_the_direct_set_serves_the_densest_closures_certify_runs():
-    # Pure arithmetic over the covered specs certify() sends to closure():
-    # |G| above the Python BFS bound, Q**n <= 2**20 and keys of at most 64
-    # bits.  Every covered degree has n >= 2.
+def _closure_specs():
+    """The covered specs certify() sends to closure(), as two dicts, those
+    it finishes under the default cap and the capped ones, of spec -> (key
+    bits, |G|): |G| above the Python BFS bound, Q**n <= 2**20 and keys of
+    at most 64 bits.  Every covered degree has n >= 2."""
     finished, capped = {}, {}
     n = 2
     while 2**n <= 2**20:
@@ -820,12 +888,47 @@ def test_the_direct_set_serves_the_densest_closures_certify_runs():
                     (finished if order <= DEFAULT_CAP else capped)[spec] = bits, order
             q += 1
         n += 1
+    return finished, capped
+
+
+def test_the_direct_set_serves_the_densest_closures_certify_runs():
+    finished, capped = _closure_specs()  # pure arithmetic
     direct = [s for s, (bits, _) in finished.items() if bits <= enumeration._DIRECT_KEY_BITS]
     assert (len(finished), len(direct)) == (53, 11)
     # they are exactly the finished closures that fill more than 1/64 of their key space
     assert direct == [s for s, (bits, order) in finished.items() if 64 * order > 2**bits]
     assert [s for s, (bits, _) in capped.items() if bits <= enumeration._DIRECT_KEY_BITS] == [
         GroupSpec(Family.GL, 2, 41), GroupSpec(Family.GL, 2, 43)]
+
+
+def test_the_inverse_skip_and_the_grouped_lookup_apply_where_the_readme_says():
+    finished, capped = _closure_specs()
+
+    def undone(spec):
+        """Whether a * a, b * b and a * b are 1."""
+        a, b = _pair(spec.family, spec.degree, spec.q)
+        one = Mat.identity(a.ctx, spec.degree)
+        return a * a == one, b * b == one, a * b == one
+
+    def undoes(spec):
+        return any(undone(spec))
+
+    def labels(specs):
+        return [f"{s.family.value}-{s.degree}-{s.q}" for s in specs]
+
+    assert labels(filter(undoes, finished)) == ["sp-6-2"]
+    assert labels(filter(undoes, capped)) == [
+        "gl-4-3", "gl-5-2", "sl-5-2", "gl-5-3", "gl-6-2", "sl-6-2", "gl-6-3", "sp-6-3",
+        "gl-7-2", "sl-7-2", "gl-8-2", "sl-8-2", "sp-8-2"]
+    # in each of them a is an involution, and only a
+    assert {undone(s) for specs in (finished, capped) for s in filter(undoes, specs)} == {
+        (True, False, False)}
+    # rows of at most 8 bits: w >= 2 rows per gather
+    grouped = [s for specs in (finished, capped) for s, (bits, _) in specs.items()
+               if enumeration._LOOKUP_BITS // (bits // s.degree) >= 2]
+    assert (len(finished), len(capped), len(grouped)) == (53, 611, 20)
+    assert labels(s for s in grouped if s in finished) == [
+        "gl-3-4", "gl-3-5", "sl-3-5", "sp-4-4", "sp-6-2"]
 
 
 def test_every_group_the_python_search_takes_has_at_most_4096_row_codes():
