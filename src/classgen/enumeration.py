@@ -39,16 +39,20 @@ inside closure() and its helpers.
 certify() turns membership, the exact order and a closure count into a
 PASS / FAIL / INDETERMINATE verdict, by the rule in its docstring.  For
 |G| <= PYTHON_BFS_MAX_ORDER it runs _python_closure, the same search with
-Python-list row tables and a Python set of row-code tuples: such a small
-group is enumerated in less time than numpy takes to import.  Both kernels
-give the same ClosureResult.  group_elements() reads its discovery order
-from _python_closure, so only closure() loads numpy.
+Python-list row tables and a Python set of elements: such a small group is
+enumerated in less time than numpy takes to import.  When q**n <= 256 an
+element is the bytes of its n row codes and a product is one
+bytes.translate; otherwise it is the tuple of them and a round maps each
+column of row codes.  Both kernels give the same ClosureResult.
+group_elements() reads its discovery order from _python_closure, so only
+closure() loads numpy.
 """
 
 from __future__ import annotations
 
 import collections
 import enum
+import itertools
 
 from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
@@ -57,8 +61,10 @@ from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, case_label, field_or
 
 # certify() enumerates a group of at most this order in pure Python.  It was
 # fitted as the break-even with the numpy closure in cold certify runs on a
-# 2-vCPU Xeon VM; checked again there, Python is faster up to 79 464 elements
-# and numpy by about 20 ms from 103 776 (README, Closure kernel).
+# 2-vCPU Xeon VM.  Checked there per element format (README, Closure kernel):
+# bytes (q**n <= 256) win on GU(4,2) (77 760) and lose on GL(3,4) (181 440),
+# with no covered bytes group between; tuples win up to 79 464 elements, tie
+# at 103 776 and lose by 4-7 ms at 117 600.
 PYTHON_BFS_MAX_ORDER = 120_000
 
 # Keys per chunk of the visited set, 1 MB of uint64 (2**16 to 2**18 measured alike).
@@ -266,23 +272,36 @@ def _mark(seen, keys):
 def _python_closure(gens: list[Mat], cap: int):
     """closure() in pure Python, with the same validation, search and result.
 
-    An element is the tuple of its n row codes, and the visited set is a
-    Python set of them.  Returns the ClosureResult and the visited elements
-    in discovery order, identity first.  It imports no numpy.
+    An element is the sequence of its n row codes, and the visited set is a
+    Python set of them.  When q**n <= 256 it is the bytes of the codes, and
+    M*g is one M.translate(T_g), T_g padded to 256 entries; otherwise it is
+    a tuple, and a round maps each column of row codes through T_g.
+    Returns the ClosureResult and the visited elements in discovery order,
+    identity first.  It imports no numpy.
     """
     ctx, n, cap = _prepare(gens, cap)
-    tables = [_python_row_table(g).__getitem__ for g in gens]
-    identity = tuple(ctx.q**i for i in range(n))
+    tables = [_python_row_table(g) for g in gens]
+    identity = [ctx.q**i for i in range(n)]
+    as_bytes = ctx.q**n <= 256
+    if as_bytes:
+        identity = bytes(identity)
+        tables = [bytes(t).ljust(256, b"\0") for t in tables]
+    else:
+        identity = tuple(identity)
+        tables = [t.__getitem__ for t in tables]
     visited, frontier, found = {identity}, [identity], [identity]
 
     rounds, truncated = 0, False
     while frontier and not truncated:
         fresh = []
-        columns = list(zip(*frontier))  # columns[i]: row code i of every frontier element
-        for times_g in tables:
+        if as_bytes:
+            by_each = [map(bytes.translate, frontier, itertools.repeat(t)) for t in tables]
+        else:
+            columns = list(zip(*frontier))  # columns[i]: row code i of every frontier element
+            by_each = [zip(*[map(times_g, column) for column in columns]) for times_g in tables]
+        for products in by_each:
             # g is invertible, so distinct elements have distinct products:
             # a product repeats only what visited already holds.
-            products = zip(*[map(times_g, column) for column in columns])
             new = [m for m in products if m not in visited]
             visited.update(new)
             fresh += new

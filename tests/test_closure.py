@@ -507,10 +507,10 @@ def _as_row_codes(elements):
 def test_closure_and_discovery_order_match_the_set_oracle(family, degree, q):
     gens = _pair(family, degree, q)
     want, elements = set_closure(gens, DEFAULT_CAP)
-    got = closure(gens)
+    got, found = _kernels_agree(gens, DEFAULT_CAP)
     assert (got.size, got.truncated, got.frontier_rounds) == want
     assert group_elements(gens) == elements
-    assert enumeration._python_closure(gens, DEFAULT_CAP) == (got, _as_row_codes(elements))
+    assert found == _as_row_codes(elements)
 
 
 @pytest.mark.parametrize("family,degree,q,cap", [
@@ -679,13 +679,27 @@ def _generator_lists(family, degree, q):
     return [[a, b], [b, a], [a], [a, b, a * b], [b, b.inverse()], [a, a]]
 
 
-@pytest.mark.parametrize("family,degree,q", [
-    (Family.GL, 2, 3), (Family.SU, 3, 2), (Family.SP, 4, 2)])
-def test_each_generator_list_matches_both_oracles(visited_set, lookup, family, degree, q):
+# (family, degree, q, caps, the type of _python_closure's elements)
+GENERATOR_LIST_CASES = [
+    (Family.GL, 2, 3, (1, 10, 1000, DEFAULT_CAP), bytes),
+    (Family.SU, 3, 2, (1, 10, 1000, DEFAULT_CAP), bytes),
+    (Family.SP, 4, 2, (1, 10, 1000, DEFAULT_CAP), bytes),
+    # Q**n = 256 and 729 either side of the bytes bound; the set-oracle test
+    # runs SU(3,3) to the end
+    (Family.GL, 4, 4, (1, 10, 1000), bytes),
+    (Family.SU, 3, 3, (1, 10, 1000), tuple),
+]
+
+
+@pytest.mark.parametrize("family,degree,q,caps,element", GENERATOR_LIST_CASES,
+                         ids=[f"{f}-{n}-{q}" for f, n, q, *_ in GENERATOR_LIST_CASES])
+def test_each_generator_list_matches_both_oracles(visited_set, lookup, family, degree, q, caps,
+                                                  element):
     for gens in _generator_lists(family, degree, q):
-        for cap in (1, 10, 1000, DEFAULT_CAP):
-            got = closure(gens, cap)
-            assert got == enumeration._python_closure(gens, cap)[0]
+        for cap in caps:
+            got, found = enumeration._python_closure(gens, cap)
+            assert {type(m) for m in found} == {element}
+            assert closure(gens, cap) == got
             assert tuple(got) == set_closure(gens, cap)[0]
 
 
@@ -803,12 +817,31 @@ def test_closure_working_set_per_element(monkeypatch, family, degree, q, visited
 # and the set oracle
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family,degree,q,element,limit", [
+    # measured: 73 bytes per element (a 40-byte bytes, its set slot and list
+    # entries), against 120 when GU(4,2)'s elements were 4-tuples
+    (Family.GU, 4, 2, bytes, 90),
+    (Family.GU, 3, 3, tuple, 200),  # 172-178 measured
+])
+def test_python_closure_working_set_per_element(family, degree, q, element, limit):
+    gens = _pair(family, degree, q)
+    tracemalloc.start()
+    try:
+        result, found = enumeration._python_closure(gens, DEFAULT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.size == theoretical_order(GroupSpec(family, degree, q))
+    assert peak <= limit * result.size
+    assert type(found[-1]) is element
+
+
 def _kernels_agree(gens, cap):
     """Run both kernels, assert equal results, and return _python_closure's
     result and discovery order as row-code tuples."""
     got, found = enumeration._python_closure(gens, cap)
     assert closure(gens, cap) == got
-    return got, found
+    return got, [tuple(m) for m in found]
 
 
 @pytest.mark.parametrize("family,degree,q,order,cap", [
