@@ -1,9 +1,8 @@
-"""Command line interface.
-
-Subcommands:
-  gens     print the generator pair (json, text or gap format)
-  certify  run the closure certification and set the exit code
-  order    print the theoretical group order
+"""Command line interface: gens prints the generator pair (json, text or gap
+format), certify runs the closure certification and sets the exit code, and
+order prints the theoretical group order.  It parses its own arguments, as
+the table _COMMANDS says: the standard library's parser, with the gettext
+and locale it loads, would cost every cold run about 4 ms.
 
 gens builds the pair, and the form with --emit-form, before it prints; the
 writer of the chosen format then yields the output, printed line by line.
@@ -19,7 +18,6 @@ rounds or truncated line.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -34,19 +32,9 @@ from classgen.spec import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; this tool reserves 2, so use 3."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
-
-
 def _json_lines(spec, pair, form, emit_form: bool):
     """Indent 2, each coefficient list and matrix row on one line.  str() of an
-    int or of a list of ints is already its JSON."""
-    import json
-
+    int or a list of ints, and f'"{s}"' of a label (fixed ASCII, no " or \\), is its JSON."""
     text = {}  # entry code -> the JSON of its coefficients, formatted once per document
 
     def entry(code):
@@ -59,10 +47,10 @@ def _json_lines(spec, pair, form, emit_form: bool):
         yield f"{indent}]"
 
     yield "{"
-    yield f'  "family": {json.dumps(spec.family.value)},'
+    yield f'  "family": "{spec.family.value}",'
     yield f'  "degree": {spec.degree},'
     yield f'  "q": {spec.q},'
-    yield f'  "case_label": {json.dumps(pair.case_label)},'
+    yield f'  "case_label": "{pair.case_label}",'
     yield '  "field": {'
     yield f'    "p": {pair.ctx.p},'
     yield f'    "k": {pair.ctx.k},'
@@ -79,7 +67,7 @@ def _json_lines(spec, pair, form, emit_form: bool):
         yield '  "form": null'
     elif emit_form:
         yield '  "form": {'
-        yield f'    "kind": {json.dumps(form.kind.value)},'
+        yield f'    "kind": "{form.kind.value}",'
         yield from rows(form.j, "    ")
         yield "  }"
     yield "}"
@@ -134,13 +122,13 @@ def _gap_lines(spec, pair, form, emit_form: bool):
 _WRITERS = {"json": _json_lines, "text": _text_lines, "gap": _gap_lines}
 
 
-def cmd_gens(spec, args) -> int:
+def cmd_gens(spec, format=_json_lines, emit_form: bool = False) -> int:
     check_gens_limit(spec)
     from classgen.families import form_for, generator_pair
 
     pair = generator_pair(spec)
-    form = form_for(spec, pair.ctx) if args.emit_form else None
-    for line in _WRITERS[args.format](spec, pair, form, args.emit_form):
+    form = form_for(spec, pair.ctx) if emit_form else None
+    for line in format(spec, pair, form, emit_form):
         print(line)
     return 0
 
@@ -176,10 +164,10 @@ def _exact(n: int) -> str:
     return str(convert(n))
 
 
-def cmd_certify(spec, args) -> int:
+def cmd_certify(spec, cap: int = DEFAULT_CAP) -> int:
     from classgen import enumeration
 
-    cert = enumeration.certify(spec, cap=args.cap)
+    cert = enumeration.certify(spec, cap=cap)
     res = cert.closure
     print(f"family:     {spec.family.value}")
     print(f"degree:     {spec.degree}")
@@ -189,7 +177,7 @@ def cmd_certify(spec, args) -> int:
     if res is not None:
         print(f"size:       {res.size}")
         print(f"rounds:     {res.frontier_rounds}")
-        print(f"truncated:  {'yes (cap ' + str(args.cap) + ')' if res.truncated else 'no'}")
+        print(f"truncated:  {'yes (cap ' + str(cap) + ')' if res.truncated else 'no'}")
     print(f"verdict:    {cert.verdict.value}")
     if cert.verdict is enumeration.Verdict.PASS:
         return 0
@@ -198,51 +186,76 @@ def cmd_certify(spec, args) -> int:
     return 1
 
 
-def cmd_order(spec, args) -> int:
+def cmd_order(spec) -> int:
     check_order_limit(spec)
     print(_exact(theoretical_order(spec)))
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", required=True,
-                     help="gl, sl, sp, gu, su or a long name like 'special linear'")
-    sub.add_argument("--degree", type=int, required=True, help="matrix degree n")
-    sub.add_argument("--q", type=int, required=True, help="defining field size q")
+_COMMON = {"family": str, "degree": int, "q": int}
+# command -> its function and options: name -> what converts its value, None for a flag
+_COMMANDS = {"gens": (cmd_gens, {**_COMMON, "format": _WRITERS.__getitem__, "emit-form": None}),
+             "certify": (cmd_certify, {**_COMMON, "cap": int}),
+             "order": (cmd_order, _COMMON)}
+_USAGE = "usage: classgen {gens,certify,order} --family FAMILY --degree DEGREE --q Q [options]"
+_HELP = f"""{_USAGE}
+
+gens prints the generator pair, certify closure-certifies it and order prints
+the group order.  Write an option as --name value, --name=value or a unique prefix.
+  --family FAMILY  gl, sl, sp, gu, su or a long name like 'special linear'
+  --degree DEGREE  matrix degree n
+  --q Q            defining field size q
+  --format {{json,text,gap}}  gens: the output format (default json)
+  --emit-form      gens: also print the preserved Gram matrix (sp/gu/su)
+  --cap CAP        certify: INDETERMINATE past CAP elements (default {DEFAULT_CAP})"""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="classgen",
-                     description="Two-generator pairs for the classical matrix groups, "
-                                 "with brute-force certification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}\nclassgen: error: {message}\n")
+    raise SystemExit(3)  # 2 is the exit code for unsupported parameters
 
-    p_gens = sub.add_parser("gens", help="print the generator pair")
-    _add_common(p_gens)
-    p_gens.add_argument("--format", choices=tuple(_WRITERS), default="json")
-    p_gens.add_argument("--emit-form", action="store_true",
-                        help="also print the preserved Gram matrix (sp/gu/su)")
-    p_gens.set_defaults(func=cmd_gens)
 
-    p_cert = sub.add_parser("certify", help="closure-certify the pair")
-    _add_common(p_cert)
-    p_cert.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help=f"stop the closure after this many elements and report "
-                             f"INDETERMINATE (default {DEFAULT_CAP})")
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_order = sub.add_parser("order", help="print the theoretical group order")
-    _add_common(p_order)
-    p_order.set_defaults(func=cmd_order)
-
-    return parser
+def _parse(argv: list[str]):
+    """The command's function and its options as {name: value}.  -h, --help
+    or a prefix of it prints the help and exits 0; a usage error exits 3."""
+    func, names = _COMMANDS.get(argv[0] if argv else "", (None, {}))
+    if func is None and not (argv and argv[0].startswith("-")):
+        _usage_error(f"the first argument must be a command: {', '.join(_COMMANDS)}")
+    options, args = {}, iter(argv[1:] if func else argv)  # before a command, only help passes
+    for arg in args:
+        word, explicit, value = arg[2:].partition("=") if arg[:2] == "--" else ("", "", "")
+        found = [name for name in (*names, "help") if word and name.startswith(word)]
+        if word in found or arg == "-h":
+            found = [word or "help"]
+        if found == ["help"]:
+            print(_HELP)
+            raise SystemExit(0)
+        if len(found) != 1:
+            _usage_error(f"ambiguous option: {arg} could match --{', --'.join(found)}"
+                         if found else f"unrecognized argument: {arg}")
+        name, kind = found[0], names[found[0]]
+        if kind is None and explicit:
+            _usage_error(f"argument --{name}: takes no value")
+        if kind is not None and not explicit:
+            value = next(args, "-")
+            if value.startswith("-") and not value[1:].isdigit():  # -5 is a value
+                _usage_error(f"argument --{name}: expected one argument")
+        try:
+            options[name.replace("-", "_")] = True if kind is None else kind(value)
+        except (KeyError, ValueError):
+            _usage_error(f"argument --{name}: invalid value: {value!r}")
+    missing = [f"--{name}" for name in _COMMON if name not in options]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    return func, options
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, options = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(GroupSpec(parse_family(args.family), args.degree, args.q), args)
+        spec = GroupSpec(parse_family(options.pop("family")), options.pop("degree"),
+                         options.pop("q"))
+        code = func(spec, **options)
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
     except KeyboardInterrupt:

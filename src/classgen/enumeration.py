@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import gc
 import itertools
 
 from classgen.families import generator_pair, is_member
@@ -292,26 +293,32 @@ def _python_closure(gens: list[Mat], cap: int):
     visited, frontier, found = {identity}, [identity], [identity]
 
     rounds, truncated = 0, False
-    while frontier and not truncated:
-        fresh = []
-        if as_bytes:
-            by_each = [map(bytes.translate, frontier, itertools.repeat(t)) for t in tables]
-        else:
-            columns = list(zip(*frontier))  # columns[i]: row code i of every frontier element
-            by_each = [zip(*[map(times_g, column) for column in columns]) for times_g in tables]
-        for products in by_each:
-            # g is invertible, so distinct elements have distinct products:
-            # a product repeats only what visited already holds.
-            new = [m for m in products if m not in visited]
-            visited.update(new)
-            fresh += new
-            if len(visited) > cap:
-                truncated = True
-                break
-        frontier = fresh
-        if frontier:
-            rounds += 1
-            found += frontier
+    enabled = gc.isenabled()
+    gc.disable()  # elements of ints form no cycles, and passes would walk all of visited
+    try:
+        while frontier and not truncated:
+            fresh = []
+            if as_bytes:
+                by_each = [map(bytes.translate, frontier, itertools.repeat(t)) for t in tables]
+            else:
+                columns = list(zip(*frontier))  # columns[i]: row code i of every frontier element
+                by_each = [zip(*[map(times_g, column) for column in columns]) for times_g in tables]
+            for products in by_each:
+                # g is invertible, so distinct elements have distinct products:
+                # a product repeats only what visited already holds.
+                new = [m for m in products if m not in visited]
+                visited.update(new)
+                fresh += new
+                if len(visited) > cap:
+                    truncated = True
+                    break
+            frontier = fresh
+            if frontier:
+                rounds += 1
+                found += frontier
+    finally:
+        if enabled:
+            gc.enable()
     return ClosureResult(len(visited), truncated, rounds), found
 
 

@@ -12,10 +12,11 @@ import pytest
 
 import classgen.enumeration as enumeration
 import classgen.families as families
-from classgen import Family, GroupSpec, cli, generator_pair, theoretical_order
+from classgen import (DEFAULT_CAP, Family, FormKind, GroupSpec, case_label, cli, generator_pair,
+                      theoretical_order)
 from classgen.cli import main
 from oracles import chunked_decimal
-from test_acceptance import CLOSURE_GRID
+from test_acceptance import CLOSURE_GRID, covered_specs
 from test_closure import hand_pair_of
 
 REPO_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
@@ -27,7 +28,11 @@ GENS_FIXTURE_SPECS = [tuple(path.stem.split("_")) for path in sorted(GENS_FIXTUR
 
 
 def run_main(capsys, argv):
-    code = main(argv)
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -119,6 +124,14 @@ def test_gens_json_matches_the_benchmark_fixture(capsys, family, degree, q):
     code, out, _ = run_main(capsys, ["gens", "--family", family, "--degree", degree, "--q", q])
     assert code == 0
     assert out.encode() == (GENS_FIXTURES / f"{family}_{degree}_{q}.json").read_bytes()
+
+
+def test_json_quotes_of_every_printed_label_are_plain_quotes():
+    # The json writer quotes the family, case label and form kind itself.
+    labels = {case_label(spec) for spec in covered_specs(8, (2, 3, 4, 5, 7, 8, 9))}
+    assert len(labels) == 14  # every case label the paper uses
+    for label in [*(f.value for f in Family), *(k.value for k in FormKind), *sorted(labels)]:
+        assert json.dumps(label) == f'"{label}"', label
 
 
 SU_3_2_WITH_FORM = """\
@@ -698,6 +711,91 @@ def test_long_family_names_accepted(capsys):
                                      "--degree", "2", "--q", "5"])
     assert code == 0
     assert out.strip() == "120"
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing
+# ---------------------------------------------------------------------------
+
+SL23_ARGS = ["--family", "sl", "--degree", "2", "--q", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "--family=sl", "--degree=2", "--q=3"],
+    ["order", "--fam", "sl", "--deg", "2", "--q", "3"],
+    ["order", "--fa=sl", "--d", "2", "--q", "3"],
+    ["order", "--family", "gl", "--family", "sl", "--degree", "2", "--q", "5", "--q=3"],
+    ["order", "--q", "3", "--degree", "2", "--family", "sl"],
+], ids=["name=value", "prefixes", "prefix=value", "last one wins", "any order"])
+def test_options_are_spelled_as_argparse_accepted_them(capsys, argv):
+    assert run_main(capsys, argv) == (0, "24\n", "")
+
+
+def test_gens_and_certify_options_by_prefix_and_repeated(capsys):
+    gap = run_main(capsys, ["gens", *SL23_ARGS, "--format", "gap", "--emit-form"])
+    assert gap[0] == 0 and "# form: none" in gap[1]
+    assert run_main(capsys, ["gens", *SL23_ARGS, "--fo", "text", "--emit", "--form=gap"]) == gap
+    assert run_main(capsys, ["gens", *SL23_ARGS, "--emit-form", "--emit", "--fo=gap"]) == gap
+    code, out, _ = run_main(capsys, ["certify", *SL23_ARGS, "--cap", "5", "--c=10"])
+    assert code == 4
+    assert "truncated:  yes (cap 10)" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gens", "--f", "sl", "--degree", "2", "--q", "3"],
+     "ambiguous option: --f could match --family, --format"),
+    (["gens", *SL23_ARGS, "--q"], "argument --q: expected one argument"),
+    (["gens", "--family", "sl", "--degree", "--q", "3"],
+     "argument --degree: expected one argument"),
+    (["gens", "--family", "sl", "--degree", "two", "--q", "3"],
+     "argument --degree: invalid value: 'two'"),
+    (["certify", *SL23_ARGS, "--cap", "1e6"], "argument --cap: invalid value: '1e6'"),
+    (["gens", *SL23_ARGS, "--format", "xml"], "argument --format: invalid value: 'xml'"),
+    (["gens", *SL23_ARGS, "--emit-form=yes"], "argument --emit-form: takes no value"),
+    (["gens", *SL23_ARGS, "--bogus"], "unrecognized argument: --bogus"),
+    (["gens", *SL23_ARGS, "-x"], "unrecognized argument: -x"),
+    (["gens", *SL23_ARGS, "extra"], "unrecognized argument: extra"),
+    (["order", *SL23_ARGS, "--cap", "5"], "unrecognized argument: --cap"),
+    (["gens", "--family", "sl"], "the following arguments are required: --degree, --q"),
+    (["certify"], "the following arguments are required: --family, --degree, --q"),
+    (["frobnicate", *SL23_ARGS], "the first argument must be a command: gens, certify, order"),
+    (["GENS", *SL23_ARGS], "the first argument must be a command: gens, certify, order"),
+    ([], "the first argument must be a command: gens, certify, order"),
+    (["--bogus"], "unrecognized argument: --bogus"),
+])
+def test_usage_errors_exit_3_after_a_usage_line(capsys, argv, message):
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (3, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: classgen {gens,certify,order} --family FAMILY")
+    assert error == f"classgen: error: {message}"
+
+
+def test_a_negative_number_is_a_value_that_groupspec_refuses(capsys):
+    code, out, err = run_main(capsys, ["order", "--family", "sl", "--degree", "2", "--q", "-5"])
+    assert (code, out) == (3, "")
+    assert err == "classgen: q must be an integer >= 2, got -5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"],
+    *([command, flag] for command in ("gens", "certify", "order") for flag in ("-h", "--help")),
+    ["order", "--family", "sl", "-h"],
+    ["certify", "--h", "--bogus"],
+])
+def test_help_exits_0_and_names_every_option(capsys, argv):
+    code, out, err = run_main(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: classgen ")
+    for word in ("gens", "certify", "order", "--family", "--degree", "--q", "--format",
+                 "{json,text,gap}", "--emit-form", "--cap", f"(default {DEFAULT_CAP})",
+                 "--name=value"):
+        assert word in out, word
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["classgen", "order", *SL23_ARGS])
+    assert run_main(capsys, None) == (0, "24\n", "")
 
 
 # ---------------------------------------------------------------------------

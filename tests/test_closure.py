@@ -1,3 +1,4 @@
+import gc
 import importlib
 import itertools
 import pkgutil
@@ -229,6 +230,28 @@ def test_group_elements_exhaustive_match():
 def test_group_elements_raises_when_truncated():
     with pytest.raises(ValueError, match="truncated"):
         group_elements(sl23_gens(), cap=10)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("spec", [SL23, GroupSpec(Family.SL, 2, 17)], ids=["bytes", "tuples"])
+def test_python_search_pauses_the_gc_and_restores_the_callers_setting(spec, enabled):
+    pair = generator_pair(spec)
+    passes = []
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.collect()
+    gc.callbacks.append(lambda phase, info: passes.append(phase))
+    try:
+        result, _ = enumeration._python_closure([pair.a, pair.b], DEFAULT_CAP)
+        assert result.size == theoretical_order(spec)
+        # none during the search; with the GC on, one may fall due as it resumes
+        assert passes.count("start") <= enabled
+        assert gc.isenabled() is enabled
+        assert len(group_elements([pair.a, pair.b])) == result.size
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.pop()
+        (gc.enable if was else gc.disable)()
 
 
 # ---------------------------------------------------------------------------

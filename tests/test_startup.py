@@ -3,8 +3,10 @@ command line path imports it but a certify run whose generators pass the
 membership check and whose group order is above
 enumeration.PYTHON_BFS_MAX_ORDER, and group_elements() never does.  The
 records are collections.namedtuple, so no path loads dataclasses (which
-pulls in inspect, ast, dis and tokenize) or typing.  Every module-level
-import is used or keeps an old import path."""
+pulls in inspect, ast, dis and tokenize) or typing.  The command line
+parses its own arguments and writes its own JSON quotes, so no command
+loads argparse, gettext, locale or json.  Every module-level import is used
+or keeps an old import path."""
 
 import ast
 import importlib
@@ -90,19 +92,23 @@ NUMPY_FREE = {
 }
 
 
+def _main_script(argv) -> str:
+    """A script that runs main(argv) and leaves its exit code in code; argv
+    None only imports classgen."""
+    if argv is None:
+        return "import sys\nimport classgen\ncode = 0\n"
+    return ("import sys\nfrom classgen.cli import main\n"
+            f"try:\n    code = main({argv!r})\n"
+            "except SystemExit as exc:\n    code = exc.code\n")
+
+
 def _exit_code_and_numpy_loaded(argv) -> str:
     """'<exit code> <whether numpy was imported> <whether dataclasses or
     inspect was imported>' of main(argv) in a fresh interpreter; argv None
     only imports classgen."""
-    if argv is None:
-        script = "import sys\nimport classgen\ncode = 0\n"
-    else:
-        script = ("import sys\nfrom classgen.cli import main\n"
-                  f"try:\n    code = main({argv!r})\n"
-                  "except SystemExit as exc:\n    code = exc.code\n")
-    script += ("print(code, 'numpy' in sys.modules,\n"
-               "      not {'dataclasses', 'inspect'}.isdisjoint(sys.modules))\n")
-    return _last_line(script)
+    return _last_line(_main_script(argv) + (
+        "print(code, 'numpy' in sys.modules,\n"
+        "      not {'dataclasses', 'inspect'}.isdisjoint(sys.modules))\n"))
 
 
 def _last_line(script: str) -> str:
@@ -119,10 +125,22 @@ def test_numpy_is_not_imported(case):
     assert _exit_code_and_numpy_loaded(argv) == f"{want} False False"
 
 
+# |SL(3,5)| = 372 000 > PYTHON_BFS_MAX_ORDER: the numpy closure runs
+NUMPY_CERTIFY = ["certify", "--family", "sl", "--degree", "3", "--q", "5"]
+STARTUP_CASES = {**NUMPY_FREE, "certify with numpy": (NUMPY_CERTIFY, 0)}
+
+
+@pytest.mark.parametrize("case", list(STARTUP_CASES))
+def test_no_run_loads_argparse_gettext_locale_or_json(case):
+    # argparse with gettext and locale cost a cold run about 4.4 ms, json 1.8 ms.
+    argv, want = STARTUP_CASES[case] or (None, 0)
+    script = _main_script(argv) + (
+        "print(code, sorted({'argparse', 'gettext', 'locale', 'json'} & set(sys.modules)))\n")
+    assert _last_line(script) == f"{want} []"
+
+
 def test_certify_above_the_python_bfs_order_loads_numpy():
-    # |SL(3,5)| = 372 000 > PYTHON_BFS_MAX_ORDER: the numpy closure runs
-    argv = ["certify", "--family", "sl", "--degree", "3", "--q", "5"]
-    assert _exit_code_and_numpy_loaded(argv).startswith("0 True ")
+    assert _exit_code_and_numpy_loaded(NUMPY_CERTIFY).startswith("0 True ")
 
 
 def test_certify_of_a_non_member_pair_loads_no_numpy():
