@@ -11,16 +11,17 @@ Both comparisons read coefficient tuples constant term first.  Two calls of
 field_create with equal (p, k) therefore return identical contexts.
 
 Both walks decide each candidate exactly, by tests faster than the
-definitions: irreducibility by Ben-Or's test (gcd(t**(p**i) - t, f) = 1 for
-i <= k/2), and, for each prime r | p - 1, the order test
-a**((q-1)/r) != 1 by the norm test N(a)**((p-1)/r) != 1 in GF(p) (Lidl and
-Niederreiter, Finite Fields, section 2.3), with N(a) taken through the
-Frobenius matrix.
+definitions, on Euclid's remainders: irreducibility by Ben-Or's test
+(Res(f, t**(p**i) - t) != 0, so gcd 1, for i <= k/2), and, for each prime
+r | p - 1, the order test a**((q-1)/r) != 1 by the norm test
+N(a)**((p-1)/r) != 1 in GF(p), N(a) = Res(f, a) (Lidl and Niederreiter,
+Finite Fields, section 2.3).  The other primes share one power chain.
 
 Scalar arithmetic is integer arithmetic mod p on a prime field.  For k > 1,
-addition, negation and subtraction share one base-p digit loop, and products
-and the closure's row tables (built from mul_code) work on coefficient lists.
-Only FieldCtx.tables, the structure constants as an array, loads numpy.
+addition, negation and subtraction share one base-p digit loop, inverses run
+extended Euclid, and products (and so the closure's row tables) work on
+coefficient lists.  Only FieldCtx.tables, the structure constants as an
+array, loads numpy.
 """
 
 from __future__ import annotations
@@ -92,18 +93,30 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
+def _resultant(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) over GF(p) for trimmed a and b, 0 exactly when gcd(a, b) != 1, by
+    Euclid's remainders r = a mod b: Res(a, b) = (-1)**(da*db) * lc(b)**(da - dr)
+    * Res(b, r), and Res(a, c) = c**da for a constant c."""
+    out = 1
+    while len(b) > 1:
+        r = _trim(_poly_rem(a, b, p))
+        if not r:
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        out = out * pow(b[-1], da - len(r) + 1, p) * (-1 if da & db & 1 else 1) % p
+        a, b = b, r
+    return out * pow(b[0], len(a) - 1, p) % p if b else 0
+
+
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Ben-Or's test of monic f of degree k >= 2: f is irreducible exactly
-    when gcd(t**(p**i) - t, f) = 1 for every i = 1 .. k // 2."""
+    when gcd(t**(p**i) - t, f) = 1, i.e. Res(f, t**(p**i) - t) != 0, for i <= k // 2."""
     k = len(f) - 1
-    mod_low, fl = f[:k], list(f)
+    mod_low = f[:k]
     h = [0, 1] + [0] * (k - 2)  # t
     for _ in range(k // 2):
         h = _poly_power(h, p, mod_low, p, k)
-        a, b = fl, _trim([h[0], (h[1] - 1) % p, *h[2:]])
-        while b:  # Euclid: a ends as gcd(h - t, f), up to a unit
-            a, b = b, _trim(_poly_rem(a, b, p))
-        if len(a) > 1:
+        if not _resultant(f, _trim([h[0], (h[1] - 1) % p, *h[2:]]), p):
             return False
     return True
 
@@ -234,11 +247,27 @@ class FieldCtx:
         return self.coeffs_to_code(_poly_mulmod(pa, pb, self.modulus[: self.k], self.p, self.k))
 
     def inv_code(self, a: int) -> int:
+        """a**-1; for k > 1 by extended Euclid on the modulus f and a, one leading term
+        at a time: each row (r, u) keeps u * a = r mod f until r is a constant c."""
         if a == 0:
             raise ZeroDivisionError("division by the zero field element")
-        if self.k == 1:
-            return pow(a, -1, self.p)
-        return self.pow_code(a, self.q - 2)
+        p, k = self.p, self.k
+        if k == 1:
+            return pow(a, -1, p)
+        r0, u0 = list(self.modulus), [0] * k
+        r1, u1 = _trim(list(self.code_to_coeffs(a))), [1] + [0] * (k - 1)
+        while len(r1) > 1:
+            d = len(r0) - len(r1)
+            c = r0[-1] * pow(r1[-1], -1, p) % p
+            for i, x in enumerate(r1):
+                r0[d + i] = (r0[d + i] - c * x) % p
+            for i, x in enumerate(u1[:k - d]):
+                u0[d + i] = (u0[d + i] - c * x) % p
+            r0 = _trim(r0)
+            if len(r0) < len(r1):
+                r0, u0, r1, u1 = r1, u1, r0, u0
+        c = pow(r1[0], -1, p)
+        return self.coeffs_to_code([x * c % p for x in u1])
 
     def pow_code(self, a: int, e: int) -> int:
         if e < 0:
@@ -375,44 +404,35 @@ def _least_primitive(ctx: FieldCtx) -> int:
     """Code of the lexicographically least element of order exactly q - 1.
 
     a has order q - 1 when a**((q - 1) / r) != 1 for each prime r | q - 1.
-    For r | p - 1 that power equals N(a)**((p - 1) / r), where the norm
-    N(a) = a * a**p * ... * a**(p**(k-1)) lies in GF(p), so those primes
-    cost one product of k conjugates and a pow mod p; the other primes pay
-    square-and-multiply, and only for candidates that pass the norm test.
-    For p = 2 no prime divides p - 1 and every prime pays square-and-multiply.
+    For r | p - 1 that power is N(a)**((p - 1) / r), with the norm
+    N(a) = a * a**p * ... * a**(p**(k-1)) = Res(f, a), f the modulus: one
+    Euclid and a pow mod p.  The other primes r1 ... rm share one chain, paid
+    only by candidates that pass: x = a**((q - 1) / (r1 * ... * rm)), then
+    each half of the primes is tested on x to the product of the other half.
     """
     p, k, q = ctx.p, ctx.k, ctx.q
     mod_low = ctx.modulus[:k]
     one = [1] + [0] * (k - 1)
     primes = _prime_factors(q - 1)
     norm_checks = [(p - 1) // r for r in primes if (p - 1) % r == 0]
-    checks = [(q - 1) // r for r in primes if (p - 1) % r]
-    frob = [one]  # column j of the Frobenius matrix: the coefficients of (t**j)**p
-    if norm_checks and k > 1:
-        t_p = _poly_power([0, 1] + [0] * (k - 2), p, mod_low, p, k)
-        for _ in range(k - 1):
-            frob.append(_poly_mulmod(frob[-1], t_p, mod_low, p, k))
+    chain = [r for r in primes if (p - 1) % r]
+    top = (q - 1) // math.prod(chain)
 
-    def norm(a: list[int]) -> int:
-        out = conj = a
-        for _ in range(k - 1):
-            nxt = [0] * k  # conj**p: the Frobenius matrix times conj
-            for c, col in zip(conj, frob):
-                if c:
-                    for i, x in enumerate(col):
-                        nxt[i] += c * x
-            conj = [x % p for x in nxt]
-            out = _poly_mulmod(out, conj, mod_low, p, k)
-        return out[0]
+    def no_root(x: list[int], rs: list[int]) -> bool:
+        """x**(R / r) != 1 for each r in rs, R the product of rs."""
+        if len(rs) == 1:
+            return x != one
+        lo, hi = rs[:len(rs) // 2], rs[len(rs) // 2:]
+        return (no_root(_poly_power(x, math.prod(hi), mod_low, p, k), lo)
+                and no_root(_poly_power(x, math.prod(lo), mod_low, p, k), hi))
 
-    # With c0 as its leading base-p digit, m walks the tuples in lexicographic order.
-    for m in range(1, q):
-        coeffs = list(ctx.code_to_coeffs(m)[::-1])
-        if norm_checks:
-            n = norm(coeffs)
-            if any(pow(n, e, p) == 1 for e in norm_checks):
-                continue
-        if all(_poly_power(coeffs, e, mod_low, p, k) != one for e in checks):
+    # c0 has a loop of its own: product(range(p), repeat=k) would copy range(p) first.
+    cands = ((c, *rest) for c in range(p) for rest in itertools.product(*[range(p)] * (k - 1)))
+    for coeffs in itertools.islice(cands, 1, None):  # lexicographic order, skipping 0
+        n = _resultant(ctx.modulus, _trim(coeffs), p) if norm_checks else 0
+        if any(pow(n, e, p) == 1 for e in norm_checks):
+            continue
+        if not chain or no_root(_poly_power(coeffs, top, mod_low, p, k), chain):
             return ctx.coeffs_to_code(coeffs)
     raise AssertionError(f"no primitive element found in GF({q})")
 

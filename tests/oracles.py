@@ -5,8 +5,9 @@ repeated multiplication, determinants by cofactor expansion, counting group
 elements by exhaustive filtering, the breadth-first closure by Mat
 products in a Python set instead of row tables and sorted packed keys, group
 orders by multiplying the unfactored terms left to right, decimal digits by
-dividing off 1000 digits at a time, and the field construction by trial
-division and one exponentiation per prime factor of q - 1.
+dividing off 1000 digits at a time, the field construction by trial
+division and one exponentiation per prime factor of q - 1, and the norm of
+an element by multiplying its k conjugates.
 """
 
 from __future__ import annotations
@@ -177,14 +178,10 @@ def _prime_divisors(n):
     return out
 
 
-def reference_field(p, k):
-    """(modulus, xi coefficients) of GF(p^k) by definition: the first monic
-    irreducible and the first element of order q - 1 in the lexicographic
-    walks, coefficient tuples read constant term first.  A modulus with a
-    zero constant term is divisible by t, so the first walk skips those."""
-    modulus = next(low + (1,) for low in _nonzero_constant(p, k)
-                   if trial_division_irreducible(low + (1,), p))
-    q = p**k
+def _reference_arith(modulus, p):
+    """(mul, power) on coefficient lists of length k mod the monic modulus:
+    schoolbook products and right-to-left square-and-multiply."""
+    k = len(modulus) - 1
     one = [1] + [0] * (k - 1)
 
     def mul(a, b):
@@ -203,8 +200,35 @@ def reference_field(p, k):
             e >>= 1
         return out
 
+    return mul, power
+
+
+def reference_field(p, k):
+    """(modulus, xi coefficients) of GF(p^k) by definition: the first monic
+    irreducible and the first element of order q - 1 in the lexicographic
+    walks, coefficient tuples read constant term first.  A modulus with a
+    zero constant term is divisible by t, so the first walk skips those."""
+    modulus = next(low + (1,) for low in _nonzero_constant(p, k)
+                   if trial_division_irreducible(low + (1,), p))
+    q = p**k
+    one = [1] + [0] * (k - 1)
+    _, power = _reference_arith(modulus, p)
     checks = [(q - 1) // r for r in _prime_divisors(q - 1)]
     for coeffs in itertools.product(range(p), repeat=k):
         if any(coeffs) and all(power(list(coeffs), e) != one for e in checks):
             return modulus, coeffs
     raise AssertionError(f"no primitive element in GF({q})")
+
+
+def reference_norm(modulus, p, coeffs):
+    """N(a) by definition: the product of the k conjugates a**(p**i),
+    i = 0 .. k - 1, in GF(p)[t]/(modulus), with reference_field's mul and
+    power.  The product lies in GF(p); returns that residue."""
+    k = len(modulus) - 1
+    mul, power = _reference_arith(modulus, p)
+    out = conj = list(coeffs) + [0] * (k - len(coeffs))
+    for _ in range(k - 1):
+        conj = power(conj, p)
+        out = mul(out, conj)
+    assert not any(out[1:]), "the norm lies outside GF(p)"
+    return out[0]

@@ -1,23 +1,31 @@
 import itertools
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
+from sympy.polys.galoistools import gf_gcd, gf_irreducible_p
 
 from classgen import (
     DEFAULT_FIELD_CAP,
+    Family,
+    GroupSpec,
     field_create,
     field_to_json,
     frobenius,
+    generator_pair,
     poly_string,
 )
-from classgen.gf import FieldCtx, FieldElem, _is_irreducible, _is_prime, _poly_mulmod, _poly_power
-from oracles import brute_order, reference_field
+import classgen.gf as gf
+from classgen.gf import (FieldCtx, FieldElem, _is_irreducible, _is_prime, _poly_mulmod, _poly_power,
+                         _resultant, _trim)
+from oracles import brute_order, reference_field, reference_norm
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
+# The fields of the gens fixtures over the largest fields (perfbench's gens-bigfield).
+BIG_FIELDS = [(2, 20), (3, 12), (2, 18), (7, 7), (5, 8), (1021, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +132,47 @@ def test_is_irreducible_matches_sympy(p, k):
         assert _is_irreducible(f, p) == gf_irreducible_p(list(reversed(f)), p, ZZ), f
 
 
+# ---------------------------------------------------------------------------
+# Resultants: the norm test and Ben-Or's gcd test run on them
+# ---------------------------------------------------------------------------
+
+NORM_FIELDS = [(p, k) for p in range(2, 28) for k in range(2, 10) if _is_prime(p) and p**k <= 729]
+
+
+@pytest.mark.parametrize("p,k", NORM_FIELDS)
+def test_resultant_is_the_norm_on_every_element(p, k):
+    """Res(f, a) with the modulus f equals the product of a's k conjugates."""
+    ctx = field_create(p, k)
+    for code in range(1, ctx.q):
+        coeffs = ctx.code_to_coeffs(code)
+        assert _resultant(ctx.modulus, _trim(coeffs), p) == reference_norm(ctx.modulus, p, coeffs)
+
+
+@pytest.mark.parametrize("p,k", BIG_FIELDS)
+def test_resultant_is_the_norm_on_a_sample_of_the_big_fields(p, k):
+    ctx = field_create(p, k)
+    rng = random.Random(ctx.q)
+    for _ in range(200):
+        coeffs = ctx.code_to_coeffs(rng.randrange(1, ctx.q))
+        assert _resultant(ctx.modulus, _trim(coeffs), p) == reference_norm(ctx.modulus, p, coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_resultant_vanishes_exactly_on_a_common_factor(p):
+    """Res(f, g) = 0 exactly when sympy's gcd of f and g is not 1, for random
+    nonzero f and g of degree at most 8 (constant term first here, leading
+    term first in sympy)."""
+    rng = random.Random(p)
+    common = 0
+    for _ in range(600):
+        f, g = ([rng.randrange(p) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, p)]
+                for _ in range(2))
+        shared = gf_gcd(f[::-1], g[::-1], p, ZZ) != [1]
+        assert (_resultant(f, g, p) == 0) == shared, (f, g)
+        common += shared
+    assert common >= 60  # both outcomes occur often
+
+
 EXTENSION_FIELDS = [(p, k) for p in range(2, 257) for k in range(2, 17)
                     if _is_prime(p) and p**k <= 2**16]
 
@@ -153,6 +202,18 @@ def test_xi_is_least_primitive(p, k):
         if coeffs >= ctx.xi.coeffs:
             continue
         assert brute_order(ctx.from_code(code)) < ctx.q - 1
+
+
+def test_primitive_walk_makes_its_candidates_one_at_a_time():
+    """Building GF(1048573), the largest prime field under the cap, traces
+    about 2 KB; a walk that first copied range(p) traced 42 MB."""
+    tracemalloc.start()
+    try:
+        gf._field_create_cached.__wrapped__(1048573, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_construction_rejects_bad_parameters():
@@ -361,13 +422,56 @@ def test_field_axioms_exhaustive(p, k):
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2),
-                                 (2, 3), (5, 2), (3, 3), (7, 2), (2, 4), (3, 4)])
+                                 (2, 3), (5, 2), (3, 3), (7, 2), (2, 4), (3, 4),
+                                 (2, 8), (3, 5), (5, 3)])
 def test_inverses_exhaustive(p, k):
     ctx = field_create(p, k)
     for code in range(1, ctx.q):
         a = ctx.from_code(code)
         assert a * (ctx.one / a) == ctx.one
         assert a ** (ctx.q - 1) == ctx.one
+
+
+@pytest.mark.parametrize("p,k", BIG_FIELDS)
+def test_inverses_on_a_sample_of_the_big_fields(p, k):
+    """Extended Euclid runs up to k steps here; each inverse is checked by a product."""
+    ctx = field_create(p, k)
+    rng = random.Random(ctx.q)
+    for _ in range(500):
+        a, b = (ctx.from_code(rng.randrange(1, ctx.q)) for _ in range(2))
+        inv = ctx.one / a
+        assert a * inv == ctx.one
+        assert ctx.one / inv == a
+        assert a / b * b == a
+
+
+def count_poly_products(monkeypatch) -> list:
+    """Spy on gf._poly_mulmod; the returned list gets one entry per call."""
+    calls, real = [], gf._poly_mulmod
+    monkeypatch.setattr(gf, "_poly_mulmod", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+# The constructions make 384 and 141 products; a full power for each prime
+# r not dividing p - 1 makes 580 and 180, so the bounds catch a return to it.
+@pytest.mark.parametrize("p,k,bound", [(3, 12, 400), (2, 20, 150)])
+def test_construction_shares_one_power_chain(monkeypatch, p, k, bound):
+    calls = count_poly_products(monkeypatch)
+    ctx = gf._field_create_cached.__wrapped__(p, k)
+    assert len(calls) <= bound
+    assert ctx.xi_code == field_create(p, k).xi_code
+
+
+def test_unitary_pair_over_gf_3_12_inverts_by_euclid(monkeypatch):
+    """generator_pair for SU(3, 729), its field built afresh, makes 498
+    products; with inverses as powers a**(q - 2) it makes 626."""
+    import classgen.families
+
+    monkeypatch.setattr(classgen.families, "field_create", gf._field_create_cached.__wrapped__)
+    calls = count_poly_products(monkeypatch)
+    pair = generator_pair(GroupSpec(Family.SU, 3, 729))
+    assert len(calls) <= 520
+    assert pair.ctx.q == 3**12
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 200) if _is_prime(p)])
