@@ -1,51 +1,39 @@
 """Closure enumeration and certification against the classical order formulas.
 
-closure() runs a breadth-first search from the identity, right-multiplying
-the frontier by each generator.  A matrix is held as its n row codes: the
-row with entry codes (c_0, ..., c_{n-1}) has code c_0 + c_1*q + ... +
-c_{n-1}*q**(n-1) in [0, q**n).  Row i of M*g is (row i of M)*g, so each
-generator g gets a table T_g of length q**n mapping v to v*g.  Both
-kernels build T_g from _action(g), the GF(p)-matrix of v -> v*g, worked
-out once with the field's scalar product.
+_search() is the breadth-first search from the identity, right-multiplying
+the frontier by each generator; two kernels give it their element format.
+A matrix is held as its n row codes: the row with entry codes (c_0, ...,
+c_{n-1}) has code c_0 + c_1*q + ... + c_{n-1}*q**(n-1) in [0, q**n).  Row i
+of M*g is (row i of M)*g, so each generator g gets a table T_g of length
+q**n mapping v to v*g.  Both kernels build T_g from _action(g), the
+GF(p)-matrix of v -> v*g, worked out once with the field's scalar product.
 
 In closure() a matrix is one key, row i in bits [i*b, (i+1)*b) with
 b = (q**n - 1).bit_length(): uint32 when n*b <= 32, else uint64.  The row
 tables are uint32 and closure() widens them to the key's word.  The
 closure limits live here: keys wider than 64 bits, like tables past
-q**n = 2**20 (_ROW_CODE_LIMIT), are refused before any work.  A frontier's
+q**n = 2**20 (_ROW_CODE_LIMIT), are refused before any work.  A batch's
 product by g ORs T_g[(key >> i*b) & mask] << i*b over rows i, w rows per
 gather: w = max(1, min(n, _LOOKUP_BITS // b)), from a table of 2**(w*b)
 keys built from T_g, M4RI's table of row combinations (w >= 2 in 20 of the
-664 covered groups certify() sends here).  The frontier is kept as one
-batch per generator that found its keys, plus round 0's identity, and its
-new keys form part of the next frontier.  If g_j * g_i = 1, g_i skips the
-batch g_j found: each of those products is its parent, already visited
-(free reduction; in 14 of those 664 pairs a is an involution).  Every
-skipped product was a duplicate, so neither cut changes a result.
+664 covered groups certify() sends here).
 
 When n*b <= _DIRECT_KEY_BITS the visited set is a bool array indexed by
 key, at most 4 MiB.  Otherwise it is a list of sorted key arrays (chunks)
 of about _CHUNK keys: a product is sorted, routed to the chunks, looked up
 by binary search and inserted, so it costs 4 or 8 bytes per element, plus
-a copy of one chunk while merging.  The search stops when the frontier
-empties (exact count) or, checked after each generator, the visited set
-grows past the cap (truncated).
+a copy of one chunk while merging.
 
 A finished result depends only on the set of generators (round r finds the
 elements of word length r); a truncated one also on their order.  A
-repeated generator never changes the result.  numpy is imported only
-inside closure() and its helpers.
+repeated generator never changes the result.
 
 certify() turns membership, the exact order and a closure count into a
 PASS / FAIL / INDETERMINATE verdict, by the rule in its docstring.  For
-|G| <= PYTHON_BFS_MAX_ORDER it runs _python_closure, the same search with
-Python-list row tables and a Python set of elements: such a small group is
-enumerated in less time than numpy takes to import.  When q**n <= 256 an
-element is the bytes of its n row codes and a product is one
-bytes.translate; otherwise it is the tuple of them and a round maps each
-column of row codes.  Both kernels give the same ClosureResult.
-group_elements() reads its discovery order from _python_closure, so only
-closure() loads numpy.
+|G| <= PYTHON_BFS_MAX_ORDER it runs _python_closure: such a small group is
+enumerated in less time than numpy takes to import.  group_elements()
+reads its discovery order from _python_closure, so numpy is imported only
+inside closure() and its helpers.
 """
 
 from __future__ import annotations
@@ -54,10 +42,11 @@ import collections
 import enum
 import gc
 import itertools
+import operator
 
 from classgen.families import generator_pair, is_member
 from classgen.matrix import Mat
-from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, case_label, field_order,
+from classgen.spec import (DEFAULT_CAP, GroupSpec, _as_int, _shown, case_label, field_order,
                            theoretical_order)
 
 # certify() enumerates a group of at most this order in pure Python.  It was
@@ -93,7 +82,7 @@ def _check_row_code_limit(q: int, n: int) -> None:
     # q >= 2, so any n > 20 exceeds the limit; the min keeps q**n small.
     if q**min(n, 21) > _ROW_CODE_LIMIT:
         raise ValueError(f"closure needs q**n <= 2**20 (row-code table limit); "
-                         f"GF({q}) at degree {n} exceeds it")
+                         f"GF({q}) at degree {_shown(n)} exceeds it")
 
 
 def _check_key_width(q: int, n: int) -> int:
@@ -122,7 +111,7 @@ def _check_cap(cap) -> int:
     even 2.0, is refused)."""
     value = _as_int(cap)
     if value is None or value < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap}")
+        raise ValueError(f"cap must be a positive integer, got {_shown(cap)}")
     return value
 
 
@@ -198,38 +187,37 @@ def _python_row_table(g: Mat) -> list[int]:
 def _lookup_table(table, n: int, bits: int):
     """table = _row_table(g) widened to w = max(1, min(n, _LOOKUP_BITS // bits))
     rows: entry r_0 | r_1 << bits | ... maps each b-bit row code r_j to
-    table[r_j] in the same place (0 past q**n).  Returns it and w; a table
-    that already has 2**(w*bits) entries, or w = 1, is returned as it is."""
+    table[r_j] in the same place (0 past q**n).  Returns it and w; with
+    w = 1 it is table itself."""
     import numpy as np
 
     w = max(1, min(n, _LOOKUP_BITS // bits))
-    if w > 1 and len(table) < 1 << w * bits:
-        pad = np.zeros(1 << bits, dtype=table.dtype)
-        pad[:len(table)] = table
-        table = pad
+    if w > 1:
+        table = pad = np.pad(table, (0, (1 << bits) - len(table)))
         for j in range(1, w):  # entry hi << (j*bits) | lo is pad[hi] << (j*bits) | table[lo]
             table = (np.left_shift(pad, table.dtype.type(j * bits))[:, None] | table).ravel()
     return table, w
 
 
-def _product(keys, table, n: int, bits: int):
-    """The keys of M*g for the keys of M, table = _row_table(g) or its
-    _lookup_table: row i of M*g is table[row i of M].  One gather reads w
-    rows of M (the last group may hold fewer), so only the n rows of a key
-    are read.  keys and table share one dtype."""
+def _product(batches, table, w: int, n: int, bits: int):
+    """The keys of M*g for the keys of M in the arrays batches, in order,
+    where (table, w) = _lookup_table(_row_table(g), n, bits): row i of M*g
+    is table[row i of M].  One gather reads w rows of M (the last group may
+    hold fewer), so only the n rows of a key are read.  The keys and table
+    share one dtype."""
     import numpy as np
 
-    word = keys.dtype.type
-    table, w = _lookup_table(table, n, bits)
-    out = np.zeros_like(keys)
+    total = sum(len(keys) for keys in batches)
+    out = np.zeros(total, dtype=table.dtype)
     # the row codes go straight into the intp indices np.take wants, uncast
-    size = min(len(keys), _BLOCK)
-    rows, images = np.empty(size, dtype=np.intp), np.empty(size, dtype=keys.dtype)
-    for start in range(0, len(keys), _BLOCK):
-        block, into = keys[start:start + _BLOCK], out[start:start + _BLOCK]
+    size = min(total, _BLOCK)
+    rows, images = np.empty(size, dtype=np.intp), np.empty(size, dtype=table.dtype)
+    done = 0
+    for block in (keys[at:at + _BLOCK] for keys in batches for at in range(0, len(keys), _BLOCK)):
+        into, done = out[done:done + len(block)], done + len(block)
         row, image = rows[:len(block)], images[:len(block)]
         for i in range(0, n, w):
-            shift = word(i * bits)
+            shift = table.dtype.type(i * bits)
             mask = (1 << min(w, n - i) * bits) - 1
             np.bitwise_and(np.right_shift(block, shift, out=row), mask, out=row)
             # the codes are in range; mode="clip" lets take write into image unbuffered
@@ -270,56 +258,79 @@ def _mark(seen, keys):
     return new
 
 
-def _python_closure(gens: list[Mat], cap: int):
-    """closure() in pure Python, with the same validation, search and result.
+def _search(start, gens: list[Mat], cap: int, multiply, visit) -> ClosureResult:
+    """The breadth-first search from start, the identity's batch.
 
-    An element is the sequence of its n row codes, and the visited set is a
-    Python set of them.  When q**n <= 256 it is the bytes of the codes, and
-    M*g is one M.translate(T_g), T_g padded to 256 entries; otherwise it is
-    a tuple, and a round maps each column of row codes through T_g.
-    Returns the ClosureResult and the visited elements in discovery order,
-    identity first.  It imports no numpy.
+    multiply(batches, i) returns the products of the batches' elements by
+    gens[i], distinct as g is invertible; visit(products) marks them visited
+    and returns the new ones, in order.  The frontier is one batch per
+    generator that found its elements.  If g_j * g_i = 1, g_i skips the
+    batch g_j found: each of those products is its parent, already visited
+    (free reduction), so no result changes.  A round counts if it finds
+    something.  The search stops when the frontier empties (exact count)
+    or, checked after each generator, the visited set grows past the cap
+    (truncated).  A batch is freed once its last generator multiplied it,
+    before visit.  The cyclic GC is paused and then restored: elements of
+    ints form no cycles, and its passes would walk all of visited.
+    """
+    one = Mat.identity(gens[0].ctx, gens[0].n)
+    undoes = [[g * h == one for h in gens] for g in gens]
+    batches = [([False] * len(gens), start)]
+    size, rounds, truncated = len(start), 0, False
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while batches and not truncated:
+            sources = [[batch for skip, batch in batches if not skip[i]]
+                       for i in reversed(range(len(undoes)))]
+            batches = []
+            for i, skipped_by in enumerate(undoes):
+                new = visit(multiply(sources.pop(), i))
+                size += len(new)
+                if len(new):
+                    batches.append((skipped_by, new))
+                truncated = size > cap
+                if truncated:
+                    break
+            rounds += bool(batches)
+    finally:
+        if enabled:
+            gc.enable()
+    return ClosureResult(size, truncated, rounds)
+
+
+def _python_closure(gens: list[Mat], cap: int):
+    """closure() in pure Python: its ClosureResult and the visited elements
+    in discovery order, identity first.  It imports no numpy.
+
+    An element is its n row codes, in a Python set of the visited ones.  When
+    q**n <= 256 it is their bytes, and M*g is one M.translate(T_g), T_g
+    padded to 256 entries; otherwise it is their tuple, and T_g maps each
+    row code.
     """
     ctx, n, cap = _prepare(gens, cap)
     tables = [_python_row_table(g) for g in gens]
     identity = [ctx.q**i for i in range(n)]
-    as_bytes = ctx.q**n <= 256
-    if as_bytes:
-        identity = bytes(identity)
-        tables = [bytes(t).ljust(256, b"\0") for t in tables]
+    if ctx.q**n <= 256:
+        identity, tables = bytes(identity), [bytes(t).ljust(256, b"\0") for t in tables]
+
+        def multiply(batches, i):
+            return map(bytes.translate, itertools.chain(*batches), itertools.repeat(tables[i]))
     else:
         identity = tuple(identity)
-        tables = [t.__getitem__ for t in tables]
-    visited, frontier, found = {identity}, [identity], [identity]
 
-    rounds, truncated = 0, False
-    enabled = gc.isenabled()
-    gc.disable()  # elements of ints form no cycles, and passes would walk all of visited
-    try:
-        while frontier and not truncated:
-            fresh = []
-            if as_bytes:
-                by_each = [map(bytes.translate, frontier, itertools.repeat(t)) for t in tables]
-            else:
-                columns = list(zip(*frontier))  # columns[i]: row code i of every frontier element
-                by_each = [zip(*[map(times_g, column) for column in columns]) for times_g in tables]
-            for products in by_each:
-                # g is invertible, so distinct elements have distinct products:
-                # a product repeats only what visited already holds.
-                new = [m for m in products if m not in visited]
-                visited.update(new)
-                fresh += new
-                if len(visited) > cap:
-                    truncated = True
-                    break
-            frontier = fresh
-            if frontier:
-                rounds += 1
-                found += frontier
-    finally:
-        if enabled:
-            gc.enable()
-    return ClosureResult(len(visited), truncated, rounds), found
+        def multiply(batches, i):  # T_g maps row code r of every element, for each r
+            rows = [map(operator.itemgetter(r), itertools.chain(*batches)) for r in range(n)]
+            return zip(*[map(tables[i].__getitem__, row) for row in rows])
+    visited, found = {identity}, [identity]
+
+    def visit(products):
+        new = [m for m in products if m not in visited]
+        visited.update(new)
+        found.extend(new)
+        return new
+
+    return _search([identity], gens, cap, multiply, visit), found
 
 
 def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
@@ -329,39 +340,17 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     ctx, n, cap = _prepare(gens, cap)
     bits = _check_key_width(ctx.q, n)
     word = np.uint32 if n * bits <= 32 else np.uint64
-    tables = [_lookup_table(_row_table(g).astype(word, copy=False), n, bits)[0] for g in gens]
+    tables = [_lookup_table(_row_table(g).astype(word, copy=False), n, bits) for g in gens]
     identity = sum(ctx.q**i << (i * bits) for i in range(n))
-    frontier = np.array([identity], dtype=word)
-    # If g_j * g_i = 1, g_i maps each key g_j found back to its parent, which
-    # is visited: g_i skips that batch.  Round 0's identity batch has no g_j.
-    one = Mat.identity(ctx, n)
-    undoes = [[g * h == one for h in gens] for g in gens]
-    batches = [([False] * len(gens), frontier)]
+    start = np.array([identity], dtype=word)
     if n * bits <= _DIRECT_KEY_BITS:
-        visited, visit = np.zeros(1 << (n * bits), dtype=bool), _mark
+        visited, mark = np.zeros(1 << (n * bits), dtype=bool), _mark
         visited[identity] = True
     else:
-        visited, visit = [frontier], _merge
-
-    size, rounds, truncated = 1, 0, False
-    while len(frontier) and not truncated:
-        fresh = []
-        for i, table in enumerate(tables):
-            kept = [keys for skips, keys in batches if not skips[i]]
-            source = (frontier if len(kept) == len(batches) else kept[0] if len(kept) == 1
-                      else np.concatenate([frontier[:0], *kept]))
-            # no name holds the products, so each batch is freed once visited
-            fresh.append(visit(visited, _product(source, table, n, bits)))
-            size += len(fresh[-1])
-            if size > cap:
-                truncated = True
-                break
-        frontier = np.concatenate(fresh)
-        # views of frontier, one per generator that found them
-        batches = list(zip(undoes, np.split(frontier, np.cumsum([len(f) for f in fresh[:-1]]))))
-        if len(frontier):
-            rounds += 1
-    return ClosureResult(size, truncated, rounds)
+        visited, mark = [start], _merge
+    # no name holds the products, so each batch is freed once visited
+    return _search(start, gens, cap, lambda batches, i: _product(batches, *tables[i], n, bits),
+                   lambda keys: mark(visited, keys))
 
 
 def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:

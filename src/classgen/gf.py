@@ -33,7 +33,7 @@ import operator
 
 # DEFAULT_FIELD_CAP lives in the numpy-free spec module; importing it here
 # keeps classgen.gf.DEFAULT_FIELD_CAP working.
-from classgen.spec import DEFAULT_FIELD_CAP, _as_int, _prime_factors, check_field_size
+from classgen.spec import DEFAULT_FIELD_CAP, _as_int, _prime_factors, _shown, check_field_size
 
 
 def _is_prime(n: int) -> bool:
@@ -457,10 +457,10 @@ def field_create(p: int, k: int) -> FieldCtx:
     if p is None or k is None:
         raise ValueError("p and k must be integers")
     if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise ValueError(f"p = {_shown(p)} is not prime")
     if k < 1:
-        raise ValueError(f"extension degree k = {k} must be at least 1")
-    check_field_size(p**k)
+        raise ValueError(f"extension degree k = {_shown(k)} must be at least 1")
+    check_field_size(p, k)
     return _field_create_cached(p, k)
 
 

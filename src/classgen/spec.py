@@ -55,6 +55,13 @@ def parse_family(name: str) -> Family:
     raise ValueError(f"unknown family {name!r}; use gl, sl, sp, gu, su or the long names")
 
 
+def _shown(x) -> str:
+    """x for a message, an int past 256 bits by its size: str() of a huge int raises."""
+    if isinstance(x, int) and x.bit_length() > 256:
+        return f"<{'negative ' * (x < 0)}{x.bit_length()}-bit integer>"
+    return str(x)
+
+
 def _as_int(x) -> int | None:
     """x as a Python int if it is an integer type (not a float), else None."""
     try:
@@ -75,12 +82,12 @@ class GroupSpec(collections.namedtuple("_SpecFields", "family degree q")):
         # and a float would turn the exact order into a float.
         degree_int, q_int = _as_int(degree), _as_int(q)
         if degree_int is None or degree_int < 1:
-            raise ValueError(f"degree must be a positive integer, got {degree}")
+            raise ValueError(f"degree must be a positive integer, got {_shown(degree)}")
         if q_int is None or q_int < 2:
-            raise ValueError(f"q must be an integer >= 2, got {q}")
+            raise ValueError(f"q must be an integer >= 2, got {_shown(q)}")
         if q_int > MAX_Q:
             # Factoring q by trial division takes about 0.1 s at this bound.
-            raise ValueError(f"q = {q_int} exceeds the limit 2**40")
+            raise ValueError(f"q = {_shown(q_int)} exceeds the limit 2**40")
         return super().__new__(cls, family, degree_int, q_int)
 
     @classmethod
@@ -136,8 +143,8 @@ def case_label(spec: GroupSpec) -> str:
     if fam is Family.SP:
         if deg % 2:
             raise UnsupportedParametersError(
-                f"Sp needs an even degree; degree {deg} is not covered "
-                f"(nearest: Sp({deg - 1},{q}) or Sp({deg + 1},{q}))")
+                f"Sp needs an even degree; degree {_shown(deg)} is not covered "
+                f"(nearest: Sp({_shown(deg - 1)},{q}) or Sp({_shown(deg + 1)},{q}))")
         if deg == 2:
             return "Sp(2,q) = SL(2,q)"
         n = deg // 2
@@ -167,10 +174,11 @@ def field_order(spec: GroupSpec) -> int:
     return spec.q**2 if spec.family in (Family.GU, Family.SU) else spec.q
 
 
-def check_field_size(q: int) -> None:
-    """Refuse a field of q > DEFAULT_FIELD_CAP elements."""
-    if q > DEFAULT_FIELD_CAP:
-        raise ValueError(f"field cardinality {q} exceeds the cap {DEFAULT_FIELD_CAP}")
+def check_field_size(p: int, k: int) -> None:
+    """Refuse p**k > DEFAULT_FIELD_CAP elements, building p**k only for k <= 21 (p >= 2)."""
+    if p ** min(k, 21) > DEFAULT_FIELD_CAP:
+        size = p**k if k <= 21 else f"{p}**{_shown(k)}"
+        raise ValueError(f"field cardinality {size} exceeds the cap {DEFAULT_FIELD_CAP}")
 
 
 def _check_size(spec: GroupSpec, field_size: int, limit: int, what: str) -> None:
@@ -178,7 +186,8 @@ def _check_size(spec: GroupSpec, field_size: int, limit: int, what: str) -> None
     size = spec.degree**2 * field_size.bit_length()
     if size > limit:
         raise ValueError(f"{what} size limit: degree**2 * bit_length({field_size}) <= "
-                         f"2**{limit.bit_length() - 1}; degree {spec.degree} gives {size}")
+                         f"2**{limit.bit_length() - 1}; degree {_shown(spec.degree)} "
+                         f"gives {_shown(size)}")
 
 
 def check_gens_limit(spec: GroupSpec) -> None:

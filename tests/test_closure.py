@@ -4,6 +4,7 @@ import itertools
 import pkgutil
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -233,8 +234,10 @@ def test_group_elements_raises_when_truncated():
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
-@pytest.mark.parametrize("spec", [SL23, GroupSpec(Family.SL, 2, 17)], ids=["bytes", "tuples"])
-def test_python_search_pauses_the_gc_and_restores_the_callers_setting(spec, enabled):
+@pytest.mark.parametrize("spec,kernel", [
+    (SL23, "_python_closure"), (GroupSpec(Family.SL, 2, 17), "_python_closure"),
+    (GroupSpec(Family.SL, 2, 17), "closure")], ids=["bytes", "tuples", "numpy"])
+def test_python_search_pauses_the_gc_and_restores_the_callers_setting(spec, kernel, enabled):
     pair = generator_pair(spec)
     passes = []
     was = gc.isenabled()
@@ -242,7 +245,9 @@ def test_python_search_pauses_the_gc_and_restores_the_callers_setting(spec, enab
     gc.collect()
     gc.callbacks.append(lambda phase, info: passes.append(phase))
     try:
-        result, _ = enumeration._python_closure([pair.a, pair.b], DEFAULT_CAP)
+        result = getattr(enumeration, kernel)([pair.a, pair.b], DEFAULT_CAP)
+        if kernel == "_python_closure":
+            result, _ = result
         assert result.size == theoretical_order(spec)
         # none during the search; with the GC on, one may fall due as it resumes
         assert passes.count("start") <= enabled
@@ -573,22 +578,22 @@ def test_product_of_keys_matches_mat_mul(monkeypatch, lookup, p, k, n, w):
     assert table.dtype == np.uint32
     table = table.astype(dtype)
     want = [_key(_row_codes(m * gen), bits) for m in mats]
-    got = _product(keys, table, n, bits)
+    lookup_table, rows = _lookup_table(table, n, bits)
+    assert rows == (w if lookup == "grouped" else 1)
+    got = _product([keys], lookup_table, rows, n, bits)
     assert got.dtype == dtype
     assert got.tolist() == want
     assert (keys == before).all()
-    # a prebuilt lookup table gives the same products
-    lookup_table, rows = _lookup_table(table, n, bits)
-    assert rows == (w if lookup == "grouped" else 1)
-    assert _lookup_table(lookup_table, n, bits)[0] is lookup_table
-    assert _product(keys, lookup_table, n, bits).tolist() == want
     # only the n rows of a key are read: bits above them change nothing
     spare = np.dtype(dtype).itemsize * 8 - n * bits
     junk = [rng.getrandbits(spare) << (n * bits) for _ in mats] if spare else [0] * len(mats)
-    assert _product(keys | np.array(junk, dtype=dtype), table, n, bits).tolist() == want
+    assert _product([keys | np.array(junk, dtype=dtype)], lookup_table, rows, n,
+                    bits).tolist() == want
     # in blocks of 64 keys, the last one of 9
     monkeypatch.setattr(enumeration, "_BLOCK", 64)
-    assert _product(keys, table, n, bits).tolist() == want
+    assert _product([keys], lookup_table, rows, n, bits).tolist() == want
+    # a frontier split over two batches gives the products in batch order
+    assert _product([keys[:77], keys[77:]], lookup_table, rows, n, bits).tolist() == want
 
 
 def _chunked(values, size):
@@ -734,9 +739,9 @@ def test_a_generator_skips_the_keys_its_inverse_found(monkeypatch):
     assert a * a == one and b * b != one and a * b != one
     calls = []  # [keys multiplied, keys found], a's and b's in turn
 
-    def product(keys, table, n, bits, _real=_product):
-        calls.append([keys.copy()])
-        return _real(keys, table, n, bits)
+    def product(batches, table, w, n, bits, _real=_product):
+        calls.append([np.concatenate(batches)])
+        return _real(batches, table, w, n, bits)
 
     def merge(chunks, keys, _real=_merge):
         calls[-1].append(_real(chunks, keys))
@@ -752,6 +757,77 @@ def test_a_generator_skips_the_keys_its_inverse_found(monkeypatch):
     for r in range(1, 25):
         assert by_a[r][0].tolist() == by_b[r - 1][1].tolist()
         assert by_b[r][0].tolist() == by_a[r - 1][1].tolist() + by_b[r - 1][1].tolist()
+
+
+@pytest.mark.parametrize("family,degree,q", [(Family.SP, 4, 2), (Family.GL, 3, 3)])
+def test_a_round_frees_its_batches_before_its_last_visit(monkeypatch, family, degree, q):
+    # each batch is freed once its last generator has multiplied it, so the
+    # frontier is not held while the round's last products are visited
+    gens = list(_pair(family, degree, q))
+    alive = []  # per round, the batches it multiplied still alive at its last visit
+
+    def search(start, gens, cap, multiply, visit, _real=enumeration._search):
+        read, visits = [], itertools.count(1)
+
+        def spy_multiply(batches, i):
+            read.extend(weakref.ref(batch) for batch in batches if batch is not start)
+            return multiply(batches, i)
+
+        def spy_visit(products):
+            if next(visits) % len(gens) == 0:
+                alive.append(sum(ref() is not None for ref in read))
+                read.clear()
+            return visit(products)
+        return _real(start, gens, cap, spy_multiply, spy_visit)
+    monkeypatch.setattr(enumeration, "_search", search)
+    result = closure(gens)
+    assert result.size == theoretical_order(GroupSpec(family, degree, q))
+    assert alive == [0] * (result.frontier_rounds + 1)
+
+
+def _spy_search(monkeypatch):
+    """Record, for each multiply of enumeration._search, [the elements
+    multiplied, the new ones visit returned]."""
+    calls = []
+
+    def search(start, gens, cap, multiply, visit, _real=enumeration._search):
+        def spy_multiply(batches, i):
+            calls.append([list(itertools.chain(*batches))])
+            return multiply(batches, i)
+
+        def spy_visit(products):
+            calls[-1].append(list(visit(products)))
+            return calls[-1][-1]
+        return _real(start, gens, cap, spy_multiply, spy_visit)
+    monkeypatch.setattr(enumeration, "_search", search)
+    return calls
+
+
+@pytest.mark.parametrize("family,degree,q,cap,element", [
+    (Family.GL, 3, 2, DEFAULT_CAP, bytes), (Family.GL, 9, 2, 10_000, tuple)], ids=["bytes", "tuples"])
+def test_the_python_search_skips_the_elements_its_inverse_found(
+        monkeypatch, family, degree, q, cap, element):
+    # a is an involution and b is not: from round 1 on, a multiplies only the
+    # elements b found the round before, b a's and then its own
+    a, b = _pair(family, degree, q)
+    one = Mat.identity(a.ctx, degree)
+    assert a * a == one and b * b != one and a * b != one
+    calls = _spy_search(monkeypatch)
+    result, found = enumeration._python_closure([a, b], cap)
+    assert type(found[0]) is element
+    by_a, by_b = calls[0::2], calls[1::2]
+    # a finished search ends with a round that finds nothing; GL(9,2)'s
+    # truncates after a
+    assert len(by_a) == result.frontier_rounds + (not result.truncated)
+    assert len(by_b) == len(by_a) - result.truncated
+    assert by_a[0][0] == by_b[0][0] == [found[0]]
+    for r in range(1, len(by_a)):
+        assert by_a[r][0] == by_b[r - 1][1]
+    for r in range(1, len(by_b)):
+        assert by_b[r][0] == by_a[r - 1][1] + by_b[r - 1][1]
+    # the skipped products change no result: the set oracle skips none
+    want, elements = set_closure([a, b], cap)
+    assert (result, [tuple(m) for m in found]) == (want, _as_row_codes(elements))
 
 
 @pytest.mark.parametrize("chunk,family,degree,q", [
@@ -922,6 +998,26 @@ def test_certify_picks_the_kernel_by_the_group_order(monkeypatch, spec, kernel):
     assert cert.verdict is Verdict.PASS
 
 
+SEARCH_RUNS = {
+    "closure": lambda: closure(sl23_gens()),
+    "_python_closure": lambda: enumeration._python_closure(sl23_gens(), DEFAULT_CAP),
+    "group_elements": lambda: group_elements(sl23_gens()),
+    **{f"certify-{kernel}": lambda spec=spec: certify(spec) for spec, kernel in KERNEL_CHOICE},
+}
+
+
+@pytest.mark.parametrize("run", list(SEARCH_RUNS))
+def test_every_entry_point_runs_the_one_search_once(monkeypatch, run):
+    searches = []
+
+    def search(*args, _real=enumeration._search):
+        searches.append(args)
+        return _real(*args)
+    monkeypatch.setattr(enumeration, "_search", search)
+    SEARCH_RUNS[run]()
+    assert len(searches) == 1
+
+
 def _closure_specs():
     """The covered specs certify() sends to closure(), as two dicts, those
     it finishes under the default cap and the capped ones, of spec -> (key
@@ -957,6 +1053,36 @@ def test_the_direct_set_serves_the_densest_closures_certify_runs():
         GroupSpec(Family.GL, 2, 41), GroupSpec(Family.GL, 2, 43)]
 
 
+def _python_specs():
+    """The covered specs certify() sends to _python_closure, as a dict of
+    spec -> Q**n, its row codes.
+
+    Covered degrees start at 2, and every covered |G| >= q**(n*n // 2): each
+    factor q**i -/+ 1 is at least q**(i - 1), so |SL(n,q)|, |SU(n,q)| >=
+    q**(n(n-1)) and |Sp(2m,q)| >= q**(2m*m), and GL, GU contain SL, SU.  So
+    the scan over q**(n*n // 2) <= PYTHON_BFS_MAX_ORDER reaches every group
+    at or below it.
+    """
+    bound = enumeration.PYTHON_BFS_MAX_ORDER
+    row_codes = {}
+    n = 2
+    while 2 ** (n * n // 2) <= bound:
+        q = 2
+        while q ** (n * n // 2) <= bound:
+            for family in Family:
+                spec = GroupSpec(family, n, q)
+                try:
+                    order = theoretical_order(spec)
+                except UnsupportedParametersError:
+                    continue
+                assert order >= q ** (n * n // 2), spec
+                if order <= bound:
+                    row_codes[spec] = field_order(spec) ** n
+            q += 1
+        n += 1
+    return row_codes
+
+
 def test_the_inverse_skip_and_the_grouped_lookup_apply_where_the_readme_says():
     finished, capped = _closure_specs()
 
@@ -985,33 +1111,29 @@ def test_the_inverse_skip_and_the_grouped_lookup_apply_where_the_readme_says():
     assert (len(finished), len(capped), len(grouped)) == (53, 611, 20)
     assert labels(s for s in grouped if s in finished) == [
         "gl-3-4", "gl-3-5", "sl-3-5", "sp-4-4", "sp-6-2"]
+    # the Python search skips in 10 of its 73 groups, all held as bytes (Q**n <= 256)
+    python = _python_specs()
+    skipping = list(filter(undoes, python))
+    assert (len(python), len(skipping)) == (73, 10)
+    assert labels(skipping) == ["gl-2-2", "sl-2-2", "sp-2-2", "gl-2-3", "gl-3-2", "sl-3-2",
+                                "gl-3-3", "gl-4-2", "sl-4-2", "sp-4-3"]
+    assert all(python[s] <= 256 for s in skipping)
+    grid = [GroupSpec(family, degree, q) for family, degree, q, _ in CLOSURE_GRID]
+    assert labels(s for s in skipping if s in grid) == [
+        "gl-2-3", "gl-3-2", "sl-3-2", "gl-3-3", "sp-4-3"]
 
 
 def test_every_group_the_python_search_takes_has_at_most_4096_row_codes():
-    # The README's claim on the Python tables.  Covered degrees start at 2,
-    # and every covered |G| >= q**(n*n // 2): each factor q**i -/+ 1 is at
-    # least q**(i - 1), so |SL(n,q)|, |SU(n,q)| >= q**(n(n-1)) and
-    # |Sp(2m,q)| >= q**(2m*m), and GL, GU contain SL, SU.  So the scan over
-    # q**(n*n // 2) <= PYTHON_BFS_MAX_ORDER reaches every group at or below it.
-    bound = enumeration.PYTHON_BFS_MAX_ORDER
-    row_codes = {}
-    n = 2
-    while 2 ** (n * n // 2) <= bound:
-        q = 2
-        while q ** (n * n // 2) <= bound:
-            for family in Family:
-                spec = GroupSpec(family, n, q)
-                try:
-                    order = theoretical_order(spec)
-                except UnsupportedParametersError:
-                    continue
-                assert order >= q ** (n * n // 2), spec
-                if order <= bound:
-                    row_codes[spec] = field_order(spec) ** n
-            q += 1
-        n += 1
+    row_codes = _python_specs()
     assert max(row_codes.values()) == 4096
     assert [s for s, r in row_codes.items() if r == 4096] == [GroupSpec(Family.SU, 3, 4)]
+
+
+def test_certify_refuses_an_unbounded_degree_or_cap_in_a_readable_message():
+    with pytest.raises(ValueError, match=r"row-code table limit.*degree <16610-bit integer>"):
+        certify(GroupSpec(Family.GL, 10**5000, 2))
+    with pytest.raises(ValueError, match="got <negative 16610-bit integer>"):
+        certify(SL23, cap=-10**5000)
 
 
 BAD_CAPS = [0, -1, float("inf"), float("nan"), 2.0]

@@ -212,6 +212,21 @@ def test_q_above_2_power_40_is_refused_before_factoring():
             GroupSpec(Family.GL, 2, q)
 
 
+HUGE = 10**5000  # 5001 digits, past str()'s limit of 4300
+
+
+def test_refusals_never_print_an_unbounded_integer():
+    with pytest.raises(ValueError, match=r"q = <16610-bit integer> exceeds the limit 2\*\*40"):
+        GroupSpec(Family.GL, 2, HUGE)
+    with pytest.raises(ValueError, match="got <negative 16610-bit integer>"):
+        GroupSpec(Family.GL, -HUGE, 2)
+    with pytest.raises(UnsupportedParametersError, match="degree <16610-bit integer> is not"):
+        case_label(GroupSpec(Family.SP, HUGE + 1, 2))
+    for check in (check_gens_limit, check_order_limit):
+        with pytest.raises(ValueError, match="degree <16610-bit integer> gives <33221-bit"):
+            check(GroupSpec(Family.GL, HUGE, 2))
+
+
 # (family, degree, q) just inside the size limit of gens or order: one
 # degree more is refused.
 GENS_LIMIT_EDGES = [(Family.GL, 512, 2), (Family.GL, 512, 3), (Family.GU, 418, 2),

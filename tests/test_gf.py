@@ -223,6 +223,11 @@ def test_construction_rejects_bad_parameters():
         field_create(1, 2)
     with pytest.raises(ValueError, match="at least 1"):
         field_create(3, 0)
+    # past str()'s 4300 digits, the message names the int by its size
+    with pytest.raises(ValueError, match="p = <16610-bit integer> is not prime"):
+        field_create(10**5000, 1)
+    with pytest.raises(ValueError, match="k = <negative 16610-bit integer> must be at least 1"):
+        field_create(2, -10**5000)
     with pytest.raises(ValueError, match="must be integers"):
         field_create(2.0, 3)
     with pytest.raises(ValueError, match="must be integers"):
@@ -242,6 +247,16 @@ def test_construction_respects_cap():
         field_create(2, 21)
     assert field_create(2, 20).q == 2**20
     assert DEFAULT_FIELD_CAP == 2**20
+
+
+def test_the_cap_is_checked_without_building_p_to_the_k():
+    # 3**100000 has 47 713 digits: printing it raises, and 3**(10**7) takes seconds
+    with pytest.raises(ValueError, match=r"field cardinality 3\*\*100000 exceeds the cap 1048576"):
+        field_create(3, 10**5)
+    with pytest.raises(ValueError, match=r"field cardinality 3\*\*10000000 exceeds the cap"):
+        field_create(3, 10**7)
+    with pytest.raises(ValueError, match=r"cardinality 2\*\*<16610-bit integer> exceeds the cap"):
+        field_create(2, 10**5000)
 
 
 # ---------------------------------------------------------------------------
