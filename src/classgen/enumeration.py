@@ -21,8 +21,22 @@ keys built from T_g, M4RI's table of row combinations (w >= 2 in 20 of the
 When n*b <= _DIRECT_KEY_BITS the visited set is a bool array indexed by
 key, at most 4 MiB.  Otherwise it is a list of sorted key arrays (chunks)
 of about _CHUNK keys: a product is sorted, routed to the chunks, looked up
-by binary search and inserted, so it costs 4 or 8 bytes per element, plus
+by binary search and inserted, so it costs 4 or 8 bytes per key held, plus
 a copy of one chunk while merging.
+
+Keys of at most _TABLE_KEY_BITS bits meet a table of tags first, which
+stores a multiplicatively hashed key by its quotient (Knuth, TAOCP 3,
+6.4; Cleary 1984).  A key k of nb = n*b bits mixes to m = k*C mod 2**nb,
+C = the top nb bits of _MIX made odd, so k -> m is a bijection.  Its home is
+the top w = min(_HOME_BITS, nb) bits of m, its tag the low nb - w bits
+plus 1, and a home holding 0 is empty.  A key whose home holds its tag is
+visited.  Keys that find their home empty write their tags there; the one
+whose tag stays took the home and is new.  Every other key is taken (its
+home holds another tag) and goes to the chunks.  A home never changes
+once set, and keys sharing a home have distinct tags, so each visited key
+is in the table or in the chunks, never both, and a lookup cannot miss
+it.  The table holds 2**w tags of 1 to 4 bytes; the chunks, only the
+keys whose home was taken.
 
 A finished result depends only on the set of generators (round r finds the
 elements of word length r); a truncated one also on their order.  A
@@ -64,16 +78,26 @@ _CHUNK = 1 << 17
 # 4 MiB, no more than a sorted uint32 set of 2**20 keys.
 _DIRECT_KEY_BITS = 22
 
+# Wider keys of at most _TABLE_KEY_BITS bits are looked up in a table of
+# 2**_HOME_BITS tags before the chunks: 2 to 8 MiB, as a tag of at most
+# 52 - 21 bits, plus 1, fits a uint32.  Wider keys keep the chunks alone:
+# their tags would need a 16 MiB uint64 table.
+_HOME_BITS = 21
+_TABLE_KEY_BITS = 52
+# 2**64 over the golden ratio: its top nb bits, made odd, multiply a key of
+# nb bits (Knuth's multiplicative hashing).
+_MIX = 0x9E3779B97F4A7C15
+
 _ROW_CODE_LIMIT = 2**20
 
 # _product looks up w = max(1, _LOOKUP_BITS // b) rows of b bits at once, in a
 # table of at most 2**_LOOKUP_BITS keys (M4RI's table of row combinations).
 _LOOKUP_BITS = 16
 
-# _product works through this many keys at a time, so its two temporaries
-# stay at 128 KiB whatever the batch size.  Temporaries the size of each
-# batch, which the inverse skip makes unequal, fragment the heap and raise
-# the peak RSS (README, Closure kernel).
+# _product and _claim work through this many keys at a time, so their
+# temporaries stay at most 128 KiB each whatever the batch size.
+# Temporaries the size of each batch, which the inverse skip makes unequal,
+# fragment the heap and raise the peak RSS (README, Closure kernel).
 _BLOCK = 1 << 14
 
 
@@ -250,6 +274,42 @@ def _merge(chunks, keys):
     return fresh[0] if len(fresh) == 1 else np.concatenate(fresh[::-1])
 
 
+def _claim(table, keys, bits):
+    """Look the distinct keys of bits bits up in table, their tags by home
+    (module docstring), and claim the empty homes.  Returns two bool masks
+    over keys: took (new, placed in its empty home) and taken (its home
+    holds another key's tag, so the chunks decide); a key that is neither
+    was found at its home."""
+    import numpy as np
+
+    rest = bits - (len(table) - 1).bit_length()  # the tag's bits
+    word = keys.dtype.type
+    mix, low = word(_MIX >> (64 - bits) | 1), word((1 << rest) - 1)
+    took, taken = np.empty(len(keys), dtype=bool), np.empty(len(keys), dtype=bool)
+    size = min(len(keys), _BLOCK)
+    mixes, homes = np.empty(size, dtype=keys.dtype), np.empty(size, dtype=np.intp)
+    tags, holds, puts = (np.empty(size, dtype=table.dtype) for _ in range(3))
+    for at in range(0, len(keys), _BLOCK):
+        block = keys[at:at + _BLOCK]
+        mixed, home, tag, held, put = (a[:len(block)] for a in (mixes, homes, tags, holds, puts))
+        empty, lost = took[at:at + len(block)], taken[at:at + len(block)]
+        np.multiply(block, mix, out=mixed)  # wraps mod 2**32 or 2**64; C is odd
+        if bits < 8 * mixed.itemsize:
+            np.bitwise_and(mixed, word((1 << bits) - 1), out=mixed)
+        np.right_shift(mixed, word(rest), out=home)
+        np.add(np.bitwise_and(mixed, low, out=mixed), 1, out=tag)
+        np.take(table, home, out=held, mode="clip")  # homes are in range: unbuffered
+        np.equal(held, 0, out=empty)
+        # each key writes its tag to an empty home and leaves a held one as
+        # it is; keys that share an empty home all write it, and one tag stays
+        np.bitwise_or(held, np.multiply(tag, empty, out=put), out=put)
+        np.put(table, home, put, mode="clip")
+        np.take(table, home, out=held, mode="clip")
+        np.not_equal(held, tag, out=lost)
+        np.greater(empty, lost, out=empty)  # empty and not lost
+    return took, taken
+
+
 def _mark(seen, keys):
     """Set the distinct keys in seen, a bool array indexed by key, and
     return those that were not yet set, in their order."""
@@ -343,14 +403,32 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
     tables = [_lookup_table(_row_table(g).astype(word, copy=False), n, bits) for g in gens]
     identity = sum(ctx.q**i << (i * bits) for i in range(n))
     start = np.array([identity], dtype=word)
-    if n * bits <= _DIRECT_KEY_BITS:
-        visited, mark = np.zeros(1 << (n * bits), dtype=bool), _mark
-        visited[identity] = True
+    key_bits = n * bits
+    if key_bits <= _DIRECT_KEY_BITS:
+        seen = np.zeros(1 << key_bits, dtype=bool)
+        seen[identity] = True
+
+        def visit(keys):
+            return _mark(seen, keys)
+    elif key_bits <= _TABLE_KEY_BITS:
+        home_bits = min(_HOME_BITS, key_bits)
+        table = np.zeros(1 << home_bits, dtype=np.min_scalar_type(1 << (key_bits - home_bits)))
+        chunks = [np.zeros(1, dtype=word)]  # key 0, the zero matrix, is never a product
+
+        def visit(keys):
+            took, taken = _claim(table, keys, key_bits)
+            took, taken = keys.compress(took), keys.compress(taken)
+            del keys  # _search passes the products unnamed: this frees them before the merge
+            return np.concatenate([took, _merge(chunks, taken)])
+        visit(start)
     else:
-        visited, mark = [start], _merge
+        chunks = [start]
+
+        def visit(keys):
+            return _merge(chunks, keys)
     # no name holds the products, so each batch is freed once visited
     return _search(start, gens, cap, lambda batches, i: _product(batches, *tables[i], n, bits),
-                   lambda keys: mark(visited, keys))
+                   visit)
 
 
 def group_elements(gens: list[Mat], cap: int = DEFAULT_CAP) -> list[Mat]:

@@ -28,8 +28,8 @@ from classgen import (
     is_member,
     theoretical_order,
 )
-from classgen.enumeration import (_lookup_table, _mark, _merge, _product, _python_row_table,
-                                  _row_table)
+from classgen.enumeration import (ClosureResult, _claim, _lookup_table, _mark, _merge, _product,
+                                  _python_row_table, _row_table)
 from classgen.spec import field_order
 from oracles import brute_mat_order, set_closure, term_by_term_order
 from test_acceptance import CLOSURE_GRID
@@ -102,15 +102,25 @@ def test_theoretical_order_rejects_uncovered_parameters():
 # Closure enumeration
 # ---------------------------------------------------------------------------
 
-# _DIRECT_KEY_BITS for each visited set of closure(): "sorted" sends every
-# closure to the sorted chunks, "direct" every closure whose keys have at
-# most 24 bits (a bool array of at most 16 MiB) to the direct set.
-VISITED_SETS = {"sorted": 0, "direct": 24}
+# The module constants for each visited set of closure(): "sorted" sends
+# every closure of keys up to 52 bits to the table of tags, and the keys
+# whose home is taken to the sorted chunks; "two-homes" does the same with a
+# table of two homes, so the chunks see nearly every key; "direct" sends
+# every closure whose keys have at most 24 bits (a bool array of at most
+# 16 MiB) to the direct set.
+VISITED_SETS = {"sorted": {"_DIRECT_KEY_BITS": 0},
+                "two-homes": {"_DIRECT_KEY_BITS": 0, "_HOME_BITS": 1},
+                "direct": {"_DIRECT_KEY_BITS": 24}}
+
+
+def _use_visited_set(monkeypatch, name):
+    for constant, value in VISITED_SETS[name].items():
+        monkeypatch.setattr(enumeration, constant, value)
 
 
 @pytest.fixture(params=list(VISITED_SETS))
 def visited_set(request, monkeypatch):
-    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", VISITED_SETS[request.param])
+    _use_visited_set(monkeypatch, request.param)
     return request.param
 
 
@@ -323,17 +333,25 @@ def test_certify_fails_on_a_proper_subgroup(monkeypatch, spec, other, size):
 
 GL43 = generator_pair(GroupSpec(Family.GL, 4, 3))
 GL25 = generator_pair(GroupSpec(Family.GL, 2, 5))
+SP43 = generator_pair(GroupSpec(Family.SP, 4, 3))
 # (spec, a pair with a generator outside G, cap)
 NON_MEMBERS = [
     (GroupSpec(Family.SP, 4, 3), (GL43.a, GL43.b), 1000),
     (GroupSpec(Family.SP, 4, 3), (GL43.a, GL43.b), DEFAULT_CAP),
     (GroupSpec(Family.SP, 4, 3), (GL43.b, GL43.b), DEFAULT_CAP),
     (GroupSpec(Family.SL, 2, 5), (GL25.a, GL25.b), DEFAULT_CAP),
+    (GroupSpec(Family.SP, 4, 3), (SP43.a, GL43.b), DEFAULT_CAP),  # only b is outside G
 ]
 
 
+def test_only_b_is_outside_g_in_the_member_a_pair():
+    spec = GroupSpec(Family.SP, 4, 3)
+    assert is_member(spec, SP43.a) and not is_member(spec, GL43.b)
+
+
 @pytest.mark.parametrize("spec,pair,cap", NON_MEMBERS,
-                         ids=["gl-pair-cap-1000", "gl-pair", "b-b", "sl-2-5-gl-pair"])
+                         ids=["gl-pair-cap-1000", "gl-pair", "b-b", "sl-2-5-gl-pair",
+                              "member-a-gl-b"])
 def test_certify_fails_on_a_non_member_without_a_search(monkeypatch, spec, pair, cap):
     hand_pair(monkeypatch, *pair)
     calls = []
@@ -656,8 +674,9 @@ def test_merge_splits_an_overflowing_chunk_into_copies(monkeypatch):
     (Family.SP, 6, 2, 203922),
 ])
 def test_merge_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, q, size):
-    # _merge relies on it: one generator's products of a distinct frontier
-    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", 0)
+    # _merge relies on it: one generator's products of a distinct frontier;
+    # two homes leave nearly every key to the chunks
+    _use_visited_set(monkeypatch, "two-homes")
     batches = []
 
     def spy(chunks, keys, _real=_merge):
@@ -670,6 +689,75 @@ def test_merge_only_meets_batches_of_distinct_keys(monkeypatch, family, degree, 
     assert batches
 
 
+def _home_and_tag(key, bits, home_bits, word):
+    """The home and tag _claim gives key alone in an empty table of
+    2**home_bits homes."""
+    table = np.zeros(2**home_bits, dtype=np.min_scalar_type(2**(bits - home_bits)))
+    took, taken = _claim(table, np.array([key], dtype=word), bits)
+    assert (took.tolist(), taken.tolist()) == ([True], [False])
+    (home,) = np.flatnonzero(table)
+    return int(home), int(table[home])
+
+
+@pytest.mark.parametrize("bits,home_bits,word,tag", [
+    (12, 2, np.uint32, np.uint16), (30, 2, np.uint32, np.uint32), (36, 2, np.uint64, np.uint64)])
+@pytest.mark.parametrize("block", [1, enumeration._BLOCK])
+def test_claim_gives_an_empty_home_to_one_key_and_reports_the_others_taken(
+        monkeypatch, bits, home_bits, word, tag, block):
+    monkeypatch.setattr(enumeration, "_BLOCK", block)
+    placed = {key: _home_and_tag(key, bits, home_bits, word) for key in range(1, 9)}
+    # keys 1 to 8 in 4 homes: two share one, and a third has another
+    first, second = next((j, k) for j, k in itertools.combinations(placed, 2)
+                         if placed[j][0] == placed[k][0])
+    other = next(k for k in placed if placed[k][0] != placed[first][0])
+    assert placed[first][1] != placed[second][1]  # a home's keys have distinct tags
+    table = np.zeros(2**home_bits, dtype=tag)
+    took, taken = _claim(table, np.array([first, second, other], dtype=word), bits)
+    assert sorted(took[:2].tolist()) == [False, True] and (took ^ taken).all()
+    assert (took[2], taken[2]) == (True, False)
+    winner, loser = (first, second) if took[0] else (second, first)
+    assert sorted((int(h), int(table[h])) for h in np.flatnonzero(table)) == sorted(
+        [placed[winner], placed[other]])
+    before = table.copy()
+    for key, want in [(winner, (False, False)), (other, (False, False)), (loser, (False, True))]:
+        took, taken = _claim(table, np.array([key], dtype=word), bits)
+        assert (took[0], taken[0]) == want
+    assert (table == before).all()  # a lookup never moves a home
+
+
+@pytest.mark.parametrize("family,degree,q,home_bits,tag", [
+    (Family.GL, 3, 5, 21, np.uint8),   # 21-bit keys: one home per key, every tag 1
+    (Family.SP, 6, 2, 21, np.uint16),  # 36-bit keys: 15-bit tags
+    (Family.SU, 3, 5, 21, np.uint32),  # 42-bit keys: 21-bit tags
+    (Family.SP, 6, 2, 1, np.uint64),   # 35-bit tags, nearly every key in the chunks
+])
+def test_each_tag_dtype_counts_the_group_and_never_returns_key_0(monkeypatch, family, degree, q,
+                                                                 home_bits, tag):
+    # the chunks hold key 0, the zero matrix, from the start
+    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", 0)
+    monkeypatch.setattr(enumeration, "_HOME_BITS", home_bits)
+    tables, zeros = set(), []
+
+    def claim(table, keys, bits, _real=_claim):
+        tables.add((table.dtype, table.size))
+        return _real(table, keys, bits)
+
+    def search(start, gens, cap, multiply, visit, _real=enumeration._search):
+        def spy_visit(products):
+            new = visit(products)
+            zeros.append(int(np.count_nonzero(new == 0)))
+            return new
+        return _real(start, gens, cap, multiply, spy_visit)
+
+    monkeypatch.setattr(enumeration, "_claim", claim)
+    monkeypatch.setattr(enumeration, "_search", search)
+    result = closure(_pair(family, degree, q))
+    assert (result.size, result.truncated) == (
+        theoretical_order(GroupSpec(family, degree, q)), False)
+    assert tables == {(np.dtype(tag), 2**home_bits)}
+    assert zeros and not any(zeros)
+
+
 def test_mark_returns_the_unseen_keys_in_their_order_and_sets_them():
     seen = np.zeros(64, dtype=bool)
     seen[[3, 10, 40]] = True
@@ -679,26 +767,37 @@ def test_mark_returns_the_unseen_keys_in_their_order_and_sets_them():
     assert _mark(seen, keys).tolist() == []
 
 
-@pytest.mark.parametrize("family,degree,q,bits,direct", [
-    (Family.SL, 2, 3, 8, True),
-    (Family.GL, 3, 5, 21, True),
-    (Family.GL, 2, 37, 22, True),    # the widest direct key
-    (Family.GL, 2, 47, 24, False),   # the narrowest sorted one: no covered key has 23 bits
-    (Family.SP, 6, 2, 36, False),
+# the helpers each visited set calls: the direct set, the table of tags in
+# front of the chunks, and the chunks alone
+VISITED_HELPERS = {"direct": {"_mark"}, "table": {"_claim", "_merge"}, "chunks": {"_merge"}}
+
+
+@pytest.mark.parametrize("family,degree,q,bits,kind,store", [
+    (Family.SL, 2, 3, 8, "direct", np.bool_),
+    (Family.GL, 3, 5, 21, "direct", np.bool_),
+    (Family.GL, 2, 37, 22, "direct", np.bool_),    # the widest direct key
+    (Family.GL, 2, 47, 24, "table", np.uint8),     # no covered key has 23 bits
+    (Family.SP, 6, 2, 36, "table", np.uint16),
+    (Family.SP, 8, 2, 64, "chunks", np.uint64),    # a tag would need a uint64 table
 ])
-def test_the_key_width_alone_picks_the_visited_set(monkeypatch, family, degree, q, bits, direct):
-    visited = {"_mark": [], "_merge": []}
+def test_the_key_width_alone_picks_the_visited_set(monkeypatch, family, degree, q, bits, kind,
+                                                   store):
+    visited = {"_mark": [], "_claim": [], "_merge": []}
     for name in visited:
-        def spy(store, keys, _name=name, _real=getattr(enumeration, name)):
+        def spy(store, keys, *rest, _name=name, _real=getattr(enumeration, name)):
             visited[_name].append(store)
-            assert len(np.unique(keys)) == len(keys)  # _mark relies on it too
-            return _real(store, keys)
+            assert len(np.unique(keys)) == len(keys)  # _mark and _claim rely on it too
+            return _real(store, keys, *rest)
         monkeypatch.setattr(enumeration, name, spy)
     gens = _pair(family, degree, q)
     assert closure(gens, 1000) == enumeration._python_closure(gens, 1000)[0]
-    assert (bool(visited["_mark"]), bool(visited["_merge"])) == (direct, not direct)
-    for seen in visited["_mark"]:
-        assert seen.dtype == bool and seen.size == 2**bits
+    assert {name for name, stores in visited.items() if stores} == VISITED_HELPERS[kind]
+    if kind == "chunks":
+        assert {c.dtype for chunks in visited["_merge"] for c in chunks} == {np.dtype(store)}
+    else:  # the direct set has one entry per key, the table one tag per home
+        size = 2**bits if kind == "direct" else 2**enumeration._HOME_BITS
+        stores = visited["_mark"] + visited["_claim"]
+        assert {(s.dtype, s.size) for s in stores} == {(np.dtype(store), size)}
 
 
 def _generator_lists(family, degree, q):
@@ -743,12 +842,14 @@ def test_a_generator_skips_the_keys_its_inverse_found(monkeypatch):
         calls.append([np.concatenate(batches)])
         return _real(batches, table, w, n, bits)
 
-    def merge(chunks, keys, _real=_merge):
-        calls[-1].append(_real(chunks, keys))
-        return calls[-1][-1]
+    def search(start, gens, cap, multiply, visit, _real=enumeration._search):
+        def spy_visit(products):
+            calls[-1].append(visit(products))
+            return calls[-1][-1]
+        return _real(start, gens, cap, multiply, spy_visit)
 
     monkeypatch.setattr(enumeration, "_product", product)
-    monkeypatch.setattr(enumeration, "_merge", merge)
+    monkeypatch.setattr(enumeration, "_search", search)
     assert closure([a, b], 100_000) == (120_711, True, 25)
     by_a, by_b = calls[0::2], calls[1::2]
     assert len(by_a) == len(by_b) == 25
@@ -836,7 +937,7 @@ def test_the_python_search_skips_the_elements_its_inverse_found(
 def test_closure_in_small_chunks_matches_the_python_bfs(monkeypatch, chunk, family, degree, q):
     # Sp(6,2) has 36-bit keys; at the default cap it is only run past cap 1000
     monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", 0)
+    _use_visited_set(monkeypatch, "two-homes")
     caps = (1, 10, 1000) if family is Family.SP and degree == 6 else (1, 10, 1000, DEFAULT_CAP)
     for gens in _generator_lists(family, degree, q):
         for cap in caps:
@@ -859,7 +960,9 @@ def test_closure_in_small_chunks_keeps_64_bit_bounds_unsigned(monkeypatch):
 
 
 def _key_dtypes(monkeypatch, gens, cap):
-    """closure(gens, cap) and the dtypes of the keys it merged."""
+    """closure(gens, cap) and the dtypes of the keys it merged, nearly all
+    of them through a table of two homes."""
+    monkeypatch.setattr(enumeration, "_HOME_BITS", 1)
     dtypes = set()
 
     def spy(chunks, keys, _real=_merge):
@@ -892,14 +995,19 @@ def test_keys_of_33_bits_are_uint64(monkeypatch, cap):
 
 
 @pytest.mark.parametrize("family,degree,q,visited,limit", [
-    (Family.SP, 6, 2, "sorted", 13),  # 36-bit keys, 8 bytes each: at most 18 MiB
-    (Family.GL, 3, 5, "sorted", 12),  # 21-bit keys: 4 bytes each
-    (Family.GL, 3, 5, "direct", 5),   # a 2 MiB bool array; _product in blocks
+    # 36-bit keys: a 4 MiB table, and 8 bytes per key in the chunks; 8.6
+    # bytes per element measured, against 11.2 (15.45 MiB) on the chunks alone
+    (Family.SP, 6, 2, "sorted", 9.5),
+    (Family.SP, 6, 2, "two-homes", 13),  # nearly every key in the chunks
+    (Family.GL, 3, 5, "sorted", 12),     # 21-bit keys: one home each, of 2 MiB
+    (Family.GL, 3, 5, "direct", 5),      # a 2 MiB bool array; _product in blocks
 ])
 def test_closure_working_set_per_element(monkeypatch, family, degree, q, visited, limit):
     # merging into one array of the whole visited set held two copies of it
-    # while inserting: 20.4 and 23.9 bytes per element at the peak
-    monkeypatch.setattr(enumeration, "_DIRECT_KEY_BITS", VISITED_SETS[visited])
+    # while inserting: 20.4 and 23.9 bytes per element at the peak.
+    # tracemalloc counts numpy's buffers, so unlike the peak RSS its peak
+    # does not move with the heap layout.
+    _use_visited_set(monkeypatch, visited)
     gens = _pair(family, degree, q)
     tracemalloc.start()
     try:
@@ -980,6 +1088,17 @@ KERNEL_CHOICE = [
     (GroupSpec(Family.SL, 2, 49), "_python_closure"),  # 117 600 elements
     (GroupSpec(Family.GL, 2, 19), "closure"),          # 123 120 elements
 ]
+
+
+@pytest.mark.parametrize("spec,kernel", KERNEL_CHOICE, ids=_spec_ids(KERNEL_CHOICE))
+@pytest.mark.parametrize("off", [-1, 1])
+def test_certify_passes_only_at_exactly_the_order(monkeypatch, spec, kernel, off):
+    # a search that miscounts by one, untruncated, gives FAIL either way
+    expected = theoretical_order(spec)
+    miscount = ClosureResult(expected + off, False, 7)
+    found = (miscount, []) if kernel == "_python_closure" else miscount
+    monkeypatch.setattr(enumeration, kernel, lambda gens, cap: found)
+    assert certify(spec) == (spec, True, expected, miscount, Verdict.FAIL)
 
 
 @pytest.mark.parametrize("spec,kernel", KERNEL_CHOICE, ids=_spec_ids(KERNEL_CHOICE))

@@ -431,6 +431,18 @@ def test_is_member_negatives():
     assert not is_member(spec_su, gu_only)
 
 
+def test_is_member_needs_the_form_for_su_at_determinant_1():
+    # SL(3,4)'s generators have det 1 over GF(4), SU(3,2)'s field, so only
+    # the unitary form can reject them
+    spec_su = GroupSpec(Family.SU, 3, 2)
+    spec_sl = GroupSpec(Family.SL, 3, 4)
+    assert field_for(spec_sl) == field_for(spec_su)
+    pair = generator_pair(spec_sl)
+    for g in (pair.a, pair.b):
+        assert g.det().code == 1 and is_member(spec_sl, g)
+        assert not is_member(spec_su, g)
+
+
 def test_is_member_rejects_degree_mismatch():
     spec = GroupSpec(Family.GL, 3, 5)
     with pytest.raises(ValueError, match="degree mismatch"):
