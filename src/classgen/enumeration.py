@@ -19,23 +19,22 @@ keys built from T_g, M4RI's table of row combinations (w >= 2 in 20 of the
 664 covered groups certify() sends here).
 
 When n*b <= _DIRECT_KEY_BITS the visited set is a bool array indexed by
-key, at most 4 MiB.  Otherwise it is a list of sorted key arrays (chunks)
-of about _CHUNK keys: a product is sorted, routed to the chunks, looked up
-by binary search and inserted, so it costs 4 or 8 bytes per key held, plus
-a copy of one chunk while merging.
+key, at most 4 MiB.  Otherwise it is a table of tags in front of a list of
+sorted key arrays (chunks) of about _CHUNK keys.  A key held in the chunks
+is sorted, routed to its chunk, looked up by binary search and inserted,
+so it costs 4 or 8 bytes, plus a copy of one chunk while merging.
 
-Keys of at most _TABLE_KEY_BITS bits meet a table of tags first, which
-stores a multiplicatively hashed key by its quotient (Knuth, TAOCP 3,
-6.4; Cleary 1984).  A key k of nb = n*b bits mixes to m = k*C mod 2**nb,
-C = the top nb bits of _MIX made odd, so k -> m is a bijection.  Its home is
-the top w = min(_HOME_BITS, nb) bits of m, its tag the low nb - w bits
-plus 1, and a home holding 0 is empty.  A key whose home holds its tag is
+The table stores a multiplicatively hashed key by its quotient (Knuth,
+TAOCP 3, 6.4; Cleary 1984).  A key k of nb = n*b bits mixes to
+m = k*C mod 2**nb, C = the top nb bits of _MIX made odd, so k -> m is a
+bijection.  Its home is the top w = min(_HOME_BITS, nb) bits of m, its tag
+the low nb - w bits plus 1, and a home holding 0 is empty.  A key whose home holds its tag is
 visited.  Keys that find their home empty write their tags there; the one
 whose tag stays took the home and is new.  Every other key is taken (its
 home holds another tag) and goes to the chunks.  A home never changes
 once set, and keys sharing a home have distinct tags, so each visited key
 is in the table or in the chunks, never both, and a lookup cannot miss
-it.  The table holds 2**w tags of 1 to 4 bytes; the chunks, only the
+it.  The table holds 2**w tags of 1 to 8 bytes; the chunks, only the
 keys whose home was taken.
 
 A finished result depends only on the set of generators (round r finds the
@@ -75,15 +74,16 @@ PYTHON_BFS_MAX_ORDER = 120_000
 _CHUNK = 1 << 17
 
 # Keys of at most this many bits index a bool visited set directly: at most
-# 4 MiB, no more than a sorted uint32 set of 2**20 keys.
+# 4 MiB, no more than a sorted uint32 set of 2**20 keys.  The table of tags
+# would be as large and slower: on a 2-vCPU Xeon VM it took GL(3,5)
+# 0.046 -> 0.052 s, SL(3,5) 0.011 -> 0.014 s and GL(2,37) (22-bit keys, two
+# per home) 0.048 -> 0.158 s.
 _DIRECT_KEY_BITS = 22
 
-# Wider keys of at most _TABLE_KEY_BITS bits are looked up in a table of
-# 2**_HOME_BITS tags before the chunks: 2 to 8 MiB, as a tag of at most
-# 52 - 21 bits, plus 1, fits a uint32.  Wider keys keep the chunks alone:
-# their tags would need a 16 MiB uint64 table.
+# Wider keys are looked up in a table of 2**_HOME_BITS tags before the
+# chunks: 2 to 16 MiB, as a tag of 1 to 64 - 21 bits, plus 1, takes a uint8
+# to a uint64.
 _HOME_BITS = 21
-_TABLE_KEY_BITS = 52
 # 2**64 over the golden ratio: its top nb bits, made odd, multiply a key of
 # nb bits (Knuth's multiplicative hashing).
 _MIX = 0x9E3779B97F4A7C15
@@ -410,7 +410,7 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
 
         def visit(keys):
             return _mark(seen, keys)
-    elif key_bits <= _TABLE_KEY_BITS:
+    else:
         home_bits = min(_HOME_BITS, key_bits)
         table = np.zeros(1 << home_bits, dtype=np.min_scalar_type(1 << (key_bits - home_bits)))
         chunks = [np.zeros(1, dtype=word)]  # key 0, the zero matrix, is never a product
@@ -421,11 +421,6 @@ def closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> ClosureResult:
             del keys  # _search passes the products unnamed: this frees them before the merge
             return np.concatenate([took, _merge(chunks, taken)])
         visit(start)
-    else:
-        chunks = [start]
-
-        def visit(keys):
-            return _merge(chunks, keys)
     # no name holds the products, so each batch is freed once visited
     return _search(start, gens, cap, lambda batches, i: _product(batches, *tables[i], n, bits),
                    visit)

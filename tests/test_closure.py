@@ -103,7 +103,7 @@ def test_theoretical_order_rejects_uncovered_parameters():
 # ---------------------------------------------------------------------------
 
 # The module constants for each visited set of closure(): "sorted" sends
-# every closure of keys up to 52 bits to the table of tags, and the keys
+# every closure to the table of tags, and the keys
 # whose home is taken to the sorted chunks; "two-homes" does the same with a
 # table of two homes, so the chunks see nearly every key; "direct" sends
 # every closure whose keys have at most 24 bits (a bool array of at most
@@ -700,7 +700,8 @@ def _home_and_tag(key, bits, home_bits, word):
 
 
 @pytest.mark.parametrize("bits,home_bits,word,tag", [
-    (12, 2, np.uint32, np.uint16), (30, 2, np.uint32, np.uint32), (36, 2, np.uint64, np.uint64)])
+    (12, 2, np.uint32, np.uint16), (30, 2, np.uint32, np.uint32), (36, 2, np.uint64, np.uint64),
+    (64, 2, np.uint64, np.uint64)])  # a full word: the product wraps, no mask
 @pytest.mark.parametrize("block", [1, enumeration._BLOCK])
 def test_claim_gives_an_empty_home_to_one_key_and_reports_the_others_taken(
         monkeypatch, bits, home_bits, word, tag, block):
@@ -767,9 +768,9 @@ def test_mark_returns_the_unseen_keys_in_their_order_and_sets_them():
     assert _mark(seen, keys).tolist() == []
 
 
-# the helpers each visited set calls: the direct set, the table of tags in
-# front of the chunks, and the chunks alone
-VISITED_HELPERS = {"direct": {"_mark"}, "table": {"_claim", "_merge"}, "chunks": {"_merge"}}
+# the helpers each visited set calls: the direct set, and the table of tags
+# in front of the chunks
+VISITED_HELPERS = {"direct": {"_mark"}, "table": {"_claim", "_merge"}}
 
 
 @pytest.mark.parametrize("family,degree,q,bits,kind,store", [
@@ -778,7 +779,7 @@ VISITED_HELPERS = {"direct": {"_mark"}, "table": {"_claim", "_merge"}, "chunks":
     (Family.GL, 2, 37, 22, "direct", np.bool_),    # the widest direct key
     (Family.GL, 2, 47, 24, "table", np.uint8),     # no covered key has 23 bits
     (Family.SP, 6, 2, 36, "table", np.uint16),
-    (Family.SP, 8, 2, 64, "chunks", np.uint64),    # a tag would need a uint64 table
+    (Family.SP, 8, 2, 64, "table", np.uint64),     # a 43-bit tag, plus 1
 ])
 def test_the_key_width_alone_picks_the_visited_set(monkeypatch, family, degree, q, bits, kind,
                                                    store):
@@ -792,12 +793,10 @@ def test_the_key_width_alone_picks_the_visited_set(monkeypatch, family, degree, 
     gens = _pair(family, degree, q)
     assert closure(gens, 1000) == enumeration._python_closure(gens, 1000)[0]
     assert {name for name, stores in visited.items() if stores} == VISITED_HELPERS[kind]
-    if kind == "chunks":
-        assert {c.dtype for chunks in visited["_merge"] for c in chunks} == {np.dtype(store)}
-    else:  # the direct set has one entry per key, the table one tag per home
-        size = 2**bits if kind == "direct" else 2**enumeration._HOME_BITS
-        stores = visited["_mark"] + visited["_claim"]
-        assert {(s.dtype, s.size) for s in stores} == {(np.dtype(store), size)}
+    # the direct set has one entry per key, the table one tag per home
+    size = 2**bits if kind == "direct" else 2**enumeration._HOME_BITS
+    stores = visited["_mark"] + visited["_claim"]
+    assert {(s.dtype, s.size) for s in stores} == {(np.dtype(store), size)}
 
 
 def _generator_lists(family, degree, q):
@@ -947,6 +946,7 @@ def test_closure_in_small_chunks_matches_the_python_bfs(monkeypatch, chunk, fami
 def test_closure_in_small_chunks_keeps_64_bit_bounds_unsigned(monkeypatch):
     # Sp(8,2)'s keys have row 7 in the top byte, so chunk bounds reach 2**63
     monkeypatch.setattr(enumeration, "_CHUNK", 1024)
+    monkeypatch.setattr(enumeration, "_HOME_BITS", 1)  # nearly every key in the chunks
     bounds = []
 
     def spy(chunks, keys, _real=_merge):
@@ -1000,6 +1000,7 @@ def test_keys_of_33_bits_are_uint64(monkeypatch, cap):
     (Family.SP, 6, 2, "sorted", 9.5),
     (Family.SP, 6, 2, "two-homes", 13),  # nearly every key in the chunks
     (Family.GL, 3, 5, "sorted", 12),     # 21-bit keys: one home each, of 2 MiB
+    (Family.GL, 3, 5, "two-homes", 12),  # uint32 keys, nearly all in the chunks
     (Family.GL, 3, 5, "direct", 5),      # a 2 MiB bool array; _product in blocks
 ])
 def test_closure_working_set_per_element(monkeypatch, family, degree, q, visited, limit):
